@@ -47,6 +47,10 @@ def brick_census(q: BoundQuiver, max_len: int, window_lo: int | None = None) -> 
     ``(window_lo, max_len]``.  Band classes are listed separately; band
     modules are not counted as bricks here.
     """
+    if max_len < 0:
+        raise QuiverError(f"max_len must be at least 0, got {max_len}")
+    if window_lo is not None and window_lo < 0:
+        raise QuiverError(f"window_lo must be at least 0, got {window_lo}")
     if not validate_string_algebra(q).holds:
         raise QuiverError("census expects a string algebra")
     bands = enumerate_bands(q, max_len)
@@ -68,18 +72,6 @@ class BrickFamilyWitness:
     word: StringWord
     verified_exponents: tuple[int, ...]
     construction: str
-
-
-def _hereditary_family(label_detail: dict) -> StringWord:
-    # the seam vertex must not land in both top and socle; some rotation of
-    # the cycle always works (a simple of defect -1 exists on the cycle)
-    rep = label_detail["band"].representative
-    for base in (rep, rep.inverse()):
-        for k in range(len(base)):
-            r = base.rotate(k)
-            if is_brick(r) and is_brick(r.power(2)):
-                return r
-    raise QuiverError("no brick rotation of the cycle band; recognizer bug")
 
 
 def _positive_bar_family(detail: dict) -> StringWord:
@@ -107,9 +99,15 @@ def _zero_bar_family(detail: dict) -> StringWord:
 def barbell_brick_family(q: BoundQuiver, label, m_max: int = 4) -> BrickFamilyWitness:
     """The canonical band whose powers stay bricks, verified for
     ``m = 1..m_max`` through graph maps and the linear-algebra oracle."""
+    if m_max < 1:
+        raise QuiverError(f"m_max must be at least 1, got {m_max}")
     detail = label.detail
     if label.value == "HereditaryAn":
-        w = _hereditary_family(detail)
+        # the seam vertex must not land in both top and socle; some rotation
+        # of the cycle always works (a simple of defect -1 exists on the cycle)
+        w = brick_rotation(detail["band"], 2)
+        if w is None:
+            raise QuiverError("no brick rotation of the cycle band; recognizer bug")
         construction = "HereditaryAn"
     elif label.value == "Barbell" or (label.value == "GeneralizedBarbell" and len(detail["bar"])):
         w = _positive_bar_family(detail)

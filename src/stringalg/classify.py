@@ -28,6 +28,7 @@ from .words import (
     BandClass,
     Letter,
     StringWord,
+    _letter_ends,
     band_exists,
     enumerate_bands,
     is_string,
@@ -92,13 +93,13 @@ def _other_incidences(q: BoundQuiver, v: str, used: Letter) -> list[Letter]:
     return result
 
 
-def _trace_cycle(q: BoundQuiver, x: str, out_arrow: str, in_arrow: str) -> StringWord | None:
-    """Follow the unique walk from ``x`` via ``out_arrow`` through 2-vertices,
-    accepting only if it returns to ``x`` along ``in_arrow`` forwards."""
-    letters = [Letter(out_arrow, False)]
-    cur = q.arrow_by_name[out_arrow].tgt
+def _trace_walk(q: BoundQuiver, x: str, first: Letter, y: str) -> StringWord | None:
+    """The unique string from ``x`` starting with ``first`` that runs through
+    2-vertices until it reaches ``y``, or None if there is none."""
+    letters = [first]
+    cur = _letter_ends(q, first)[1]
     seen = {x}
-    while cur != x:
+    while cur != y:
         if cur in seen or q.degree(cur) != 2:
             return None
         seen.add(cur)
@@ -106,13 +107,16 @@ def _trace_cycle(q: BoundQuiver, x: str, out_arrow: str, in_arrow: str) -> Strin
         if len(nxt) != 1:
             return None
         letters.append(nxt[0])
-        l = nxt[0]
-        a = q.arrow_by_name[l.arrow]
-        cur = a.src if l.inverse else a.tgt
-    if letters[-1] != Letter(in_arrow, False):
-        return None
+        cur = _letter_ends(q, nxt[0])[1]
     w = StringWord(q, tuple(letters))
     return w if is_string(w) else None
+
+
+def _trace_cycle(q: BoundQuiver, x: str, out_arrow: str, in_arrow: str) -> StringWord | None:
+    """Follow the unique walk from ``x`` via ``out_arrow`` through 2-vertices,
+    accepting only if it returns to ``x`` along ``in_arrow`` forwards."""
+    w = _trace_walk(q, x, Letter(out_arrow, False), x)
+    return w if w is not None and w.letters[-1] == Letter(in_arrow, False) else None
 
 
 def _trace_bar(q: BoundQuiver, x: str, y: str, cycle_arrows: set[str]) -> StringWord | None:
@@ -125,23 +129,7 @@ def _trace_bar(q: BoundQuiver, x: str, y: str, cycle_arrows: set[str]) -> String
     ]
     if len(start) != 1:
         return None
-    letters = [start[0]]
-    a = q.arrow_by_name[start[0].arrow]
-    cur = a.src if start[0].inverse else a.tgt
-    seen = {x}
-    while cur != y:
-        if cur in seen or q.degree(cur) != 2:
-            return None
-        seen.add(cur)
-        nxt = _other_incidences(q, cur, letters[-1])
-        if len(nxt) != 1:
-            return None
-        letters.append(nxt[0])
-        l = nxt[0]
-        a = q.arrow_by_name[l.arrow]
-        cur = a.src if l.inverse else a.tgt
-    w = StringWord(q, tuple(letters))
-    return w if is_string(w) else None
+    return _trace_walk(q, x, start[0], y)
 
 
 def _try_barbell(q: BoundQuiver) -> ClassLabel | None:
@@ -201,7 +189,7 @@ def _try_barbell(q: BoundQuiver) -> ClassLabel | None:
 
 
 def _try_wind_wheel(q: BoundQuiver) -> ClassLabel | None:
-    bands = enumerate_bands(q, 2 * len(q.arrows))
+    bands = enumerate_bands(q)
     if len(bands) != 1:
         return None
     v = bands[0].representative
@@ -278,8 +266,7 @@ def classify_node_free(q: BoundQuiver) -> ClassLabel:
         and all(q.degree(v) == 2 for v in q.vertices)
         and is_finite_dimensional(q)
     ):
-        band = enumerate_bands(q, 2 * len(q.arrows))
-        return ClassLabel(HEREDITARY_AN, {"band": band[0]})
+        return ClassLabel(HEREDITARY_AN, {"band": enumerate_bands(q)[0]})
     barbell = _try_barbell(q)
     if barbell is not None:
         return barbell
@@ -396,7 +383,7 @@ def _family_witness(q: BoundQuiver, label: ClassLabel, m_max: int) -> dict:
 def _census_witness(q: BoundQuiver, stabilization_factor: int = 3) -> dict:
     from .census import brick_census
 
-    band_len = max((b.length() for b in enumerate_bands(q, 2 * len(q.arrows))), default=1)
+    band_len = max((b.length() for b in enumerate_bands(q)), default=1)
     hi = stabilization_factor * band_len
     lo = (stabilization_factor - 1) * band_len
     report = brick_census(q, hi, window_lo=lo)
@@ -411,6 +398,15 @@ def _census_witness(q: BoundQuiver, stabilization_factor: int = 3) -> dict:
     }
 
 
+def _reduced_family_witness(q: BoundQuiver, m_max: int) -> dict:
+    """Brick-family witness on the smallest full reduction of a
+    representation-infinite gentle algebra."""
+    outs = fully_reduce(q)
+    outs.sort(key=lambda t: (len(t[0].vertices), len(t[0].arrows), t[0].name))
+    red, _ = outs[0]
+    return _family_witness(red, classify_node_free(red), m_max)
+
+
 def tau_finiteness(
     q: BoundQuiver, m_max: int = 3, budget: int = 64, stabilization_factor: int = 3
 ) -> TauVerdict:
@@ -418,6 +414,8 @@ def tau_finiteness(
     algebra.  Witnesses re-verify: brick families are checked through graph
     maps and the linear-algebra oracle, finiteness through a bounded census.
     """
+    if budget < 0:
+        raise QuiverError(f"budget must be at least 0, got {budget}")
     if not validate_special_biserial(q).holds:
         raise QuiverError("tau-finiteness expects a special biserial algebra")
     trace = []
@@ -433,11 +431,7 @@ def tau_finiteness(
         )
     if validate_gentle(q0).holds:
         trace.append("gentle with a band: infinite via full reduction")
-        outs = fully_reduce(q0)
-        outs.sort(key=lambda t: (len(t[0].vertices), len(t[0].arrows), t[0].name))
-        red, _ = outs[0]
-        label = classify_node_free(red)
-        return TauVerdict(INFINITE, _family_witness(red, label, m_max), tuple(trace))
+        return TauVerdict(INFINITE, _reduced_family_witness(q0, m_max), tuple(trace))
     label = classify_mri_sb(q0)
     if label.value in (HEREDITARY_AN, BARBELL):
         trace.append(f"classified {label.value}: brick family")
@@ -446,7 +440,7 @@ def tau_finiteness(
         trace.append(f"classified {label.value}: brick-finite")
         return TauVerdict(FINITE, _census_witness(q0, stabilization_factor), tuple(trace))
     tried = []
-    for band in enumerate_bands(q0, 2 * len(q0.arrows))[:budget]:
+    for band in enumerate_bands(q0)[:budget]:
         r = reduce(q0, band)
         if r.structure_key() == q0.structure_key():
             continue
@@ -454,12 +448,7 @@ def tau_finiteness(
             tried.append(comp.name)
             if validate_gentle(comp).holds and band_exists(comp):
                 trace.append(f"band reduction {band.render()} is rep-infinite gentle")
-                outs = fully_reduce(comp)
-                outs.sort(key=lambda t: (len(t[0].vertices), len(t[0].arrows), t[0].name))
-                red, _ = outs[0]
-                return TauVerdict(
-                    INFINITE, _family_witness(red, classify_node_free(red), m_max), tuple(trace)
-                )
+                return TauVerdict(INFINITE, _reduced_family_witness(comp, m_max), tuple(trace))
             sub = classify_mri_sb(comp) if validate_string_algebra(comp).holds else None
             if sub is not None and sub.value in (HEREDITARY_AN, BARBELL):
                 trace.append(f"band reduction {band.render()} is {sub.value}")

@@ -22,7 +22,6 @@ from .graphmaps import admissible_pairs, is_brick
 from .oracle import hom_dim_linear
 from .quiver import (
     BoundQuiver,
-    ParseError,
     QuiverError,
     nodes,
     parse_quiver,
@@ -188,7 +187,7 @@ def cmd_trim(args) -> int:
 
 def cmd_reduce(args) -> int:
     q, text = _load(args.quiver)
-    bs = enumerate_bands(q, 2 * len(q.arrows))
+    bs = enumerate_bands(q)
     if not (0 <= args.band < len(bs)):
         raise QuiverError(f"band index {args.band} out of range (found {len(bs)})")
     r = reduce(q, bs[args.band])
@@ -357,10 +356,7 @@ def main(argv=None) -> int:
     try:
         _worker_count()
         return args.fn(args)
-    except (ParseError, FileNotFoundError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except QuiverError as exc:
+    except (QuiverError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -5,9 +5,14 @@ from __future__ import annotations
 
 from importlib import resources
 
-from .quiver import MONOMIAL, Arrow, BoundQuiver, Relation, parse_quiver
+from .quiver import MONOMIAL, Arrow, BoundQuiver, QuiverError, Relation, parse_quiver
 from .transforms import barify, glue
 from .words import word_from_text
+
+
+class UnknownFixtureError(QuiverError):
+    """Raised when a fixture name is not in the corpus."""
+
 
 _FILE_FIXTURES = (
     "lambda1",
@@ -135,4 +140,4 @@ def load_fixture(name: str) -> BoundQuiver:
         return _BUILDERS[name]()
     if name in _FILE_FIXTURES:
         return load_file_fixture(name)
-    raise KeyError(f"unknown fixture {name!r}; known: {', '.join(fixture_names())}")
+    raise UnknownFixtureError(f"unknown fixture {name!r}; known: {', '.join(fixture_names())}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .words import StringWord, canonical_string, is_string
+from .words import StringWord, WordError, canonical_string, is_string
 
 QUOTIENT = "quotient"
 SUBMODULE = "submodule"
@@ -94,8 +94,9 @@ def _middle_key(w: StringWord, i: int, j: int, walk: list[str]) -> tuple:
 
 def admissible_pairs(u: StringWord, v: StringWord) -> HomBasis:
     """The graph-map basis of Hom(M(u), M(v)), in split order."""
-    if not is_string(u) or not is_string(v):
-        raise ValueError("admissible_pairs needs strings")
+    for w in (u, v):
+        if not is_string(w):
+            raise WordError(f"{w.render()} is not a string")
     walk_u, walk_v = u.walk_vertices(), v.walk_vertices()
     sub_index: dict[tuple, list[tuple[int, int]]] = {}
     for i, j in _submodule_splits(v):
@@ -124,7 +125,7 @@ def is_brick(w: StringWord) -> bool:
     then falls back to the full enumeration.
     """
     if not is_string(w):
-        raise ValueError(f"{w.render()} is not a string")
+        raise WordError(f"{w.render()} is not a string")
     walk = w.walk_vertices()
     q_splits = _quotient_splits(w)
     s_splits = _submodule_splits(w)

@@ -93,7 +93,9 @@ class BoundQuiver:
             self._outgoing[a.src].append(a)
             self._incoming[a.tgt].append(a)
         self.monomials = tuple(r.path1 for r in self.relations if r.kind == MONOMIAL)
-        self._max_rel_len = max((len(p) for p in self.monomials), default=0)
+        self._monomial_set = frozenset(self.monomials)
+        self._rel_lengths = tuple(sorted({len(p) for p in self.monomials}))
+        self._max_rel_len = max(self._rel_lengths, default=0)
 
     # -- construction checks -------------------------------------------------
 
@@ -200,15 +202,13 @@ class BoundQuiver:
 
         Commutativity relations never kill a path on their own.
         """
+        path = tuple(path)
         n = len(path)
-        for gen in self.monomials:
-            g = len(gen)
-            if g > n:
-                continue
-            for i in range(n - g + 1):
-                if tuple(path[i : i + g]) == gen:
-                    return True
-        return False
+        return any(
+            path[i : i + g] in self._monomial_set
+            for g in self._rel_lengths
+            for i in range(n - g + 1)
+        )
 
     def is_path(self, path: Sequence[str]) -> bool:
         by = self.arrow_by_name
@@ -401,7 +401,7 @@ def _composition_graph(q: BoundQuiver) -> dict[tuple[str, ...], list[tuple[str, 
     """
     w = max(q._max_rel_len - 1, 1)
     graph: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
-    stack = [(a.name,) for a in q.arrows if not q.path_in_ideal((a.name,))]
+    stack = [(a.name,) for a in q.arrows]
     seen = set(stack)
     while stack:
         state = stack.pop()
@@ -455,7 +455,7 @@ def nonzero_paths(q: BoundQuiver) -> list[tuple[str, ...]]:
     if not is_finite_dimensional(q):
         raise QuiverError(f"quiver {q.name!r} is not finite dimensional")
     out: list[tuple[str, ...]] = []
-    stack = [(a.name,) for a in q.arrows if not q.path_in_ideal((a.name,))]
+    stack = [(a.name,) for a in q.arrows]
     while stack:
         path = stack.pop()
         out.append(path)

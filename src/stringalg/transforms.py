@@ -327,7 +327,7 @@ def fully_reduce(a: BoundQuiver) -> list[tuple[BoundQuiver, TransformTrace]]:
     while queue:
         q, trace = queue.pop(0)
         proper = []
-        for band in enumerate_bands(q, 2 * len(q.arrows)):
+        for band in enumerate_bands(q):
             r = reduce(q, band)
             if {x.name for x in r.arrows} != {x.name for x in q.arrows}:
                 proper.append((band, r))

@@ -30,6 +30,12 @@ class WordError(QuiverError):
     """Raised on non-composable or otherwise malformed words."""
 
 
+def _letter_ends(q: BoundQuiver, letter: Letter) -> tuple[str, str]:
+    """(start, end) of one step of a walk."""
+    a = q.arrow_by_name[letter.arrow]
+    return (a.tgt, a.src) if letter.inverse else (a.src, a.tgt)
+
+
 @dataclass(frozen=True)
 class StringWord:
     """A reduced walk satisfying (S1)/(S2); empty words carry a basepoint."""
@@ -44,21 +50,17 @@ class StringWord:
 
     # -- walk geometry -------------------------------------------------------
 
-    def _ends(self, letter: Letter) -> tuple[str, str]:
-        a = self.quiver.arrow_by_name[letter.arrow]
-        return (a.tgt, a.src) if letter.inverse else (a.src, a.tgt)
-
     @property
     def source(self) -> str:
         if not self.letters:
             return self.basepoint  # type: ignore[return-value]
-        return self._ends(self.letters[0])[0]
+        return _letter_ends(self.quiver, self.letters[0])[0]
 
     @property
     def target(self) -> str:
         if not self.letters:
             return self.basepoint  # type: ignore[return-value]
-        return self._ends(self.letters[-1])[1]
+        return _letter_ends(self.quiver, self.letters[-1])[1]
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -67,9 +69,9 @@ class StringWord:
         """The l+1 vertices visited, in traversal order."""
         if not self.letters:
             return [self.basepoint]  # type: ignore[list-item]
-        verts = [self._ends(self.letters[0])[0]]
+        verts = [_letter_ends(self.quiver, self.letters[0])[0]]
         for letter in self.letters:
-            verts.append(self._ends(letter)[1])
+            verts.append(_letter_ends(self.quiver, letter)[1])
         return verts
 
     def supported_arrows(self) -> set[str]:
@@ -150,11 +152,8 @@ def word_from_text(q: BoundQuiver, text: str) -> StringWord:
         letters.append(Letter(name, inv))
     if not letters:
         raise WordError("empty word literal; use e(<vertex>)")
-    w = StringWord(q, tuple(letters))
-    for a, b in zip(w.letters, w.letters[1:]):
-        if w._ends(a)[1] != w._ends(b)[0]:
-            raise WordError(f"letters {a.render()} {b.render()} do not compose")
-    return w
+    _check_composable(q, letters)
+    return StringWord(q, tuple(letters))
 
 
 def lazy_word(q: BoundQuiver, vertex: str) -> StringWord:
@@ -164,39 +163,44 @@ def lazy_word(q: BoundQuiver, vertex: str) -> StringWord:
 # -- the string axioms ---------------------------------------------------------
 
 
-def _runs_ok(q: BoundQuiver, letters: Sequence[Letter]) -> bool:
-    """(S2): no maximal one-directional run spells a vanishing path."""
-    i, n = 0, len(letters)
-    while i < n:
-        j = i
-        while j < n and letters[j].inverse == letters[i].inverse:
-            j += 1
-        run = [l.arrow for l in letters[i:j]]
-        if letters[i].inverse:
-            run.reverse()
-        if q.path_in_ideal(run):
+def _check_composable(q: BoundQuiver, letters: Sequence[Letter]) -> None:
+    for a, b in zip(letters, letters[1:]):
+        if _letter_ends(q, a)[1] != _letter_ends(q, b)[0]:
+            raise WordError(f"letters {a.render()} {b.render()} do not compose")
+
+
+def _step_ok(q: BoundQuiver, letters: Sequence[Letter], k: int) -> bool:
+    """(S1) and (S2) at letter ``k`` of a composable walk.
+
+    (S1): letter ``k`` does not undo letter ``k-1``.  (S2): no relation is
+    spelled by a one-directional run suffix ending at letter ``k``, read in
+    path order (an inverse run spells its path backwards).  A walk is a
+    string iff every letter passes, since each relation factor of a run ends
+    at exactly one letter.
+    """
+    cur = letters[k]
+    if k and letters[k - 1].arrow == cur.arrow and letters[k - 1].inverse != cur.inverse:
+        return False
+    back = [cur.arrow]  # the run suffix, letter k first
+    i = k - 1
+    while i >= 0 and len(back) < q._max_rel_len and letters[i].inverse == cur.inverse:
+        back.append(letters[i].arrow)
+        i -= 1
+    for g in q._rel_lengths:
+        if g > len(back):
+            break
+        if (tuple(back[:g]) if cur.inverse else tuple(back[g - 1 :: -1])) in q._monomial_set:
             return False
-        i = j
     return True
 
 
 def is_string_letters(q: BoundQuiver, letters: Sequence[Letter]) -> bool:
-    for a, b in zip(letters, letters[1:]):
-        ae = (q.arrow_by_name[a.arrow].src, q.arrow_by_name[a.arrow].tgt)
-        be = (q.arrow_by_name[b.arrow].src, q.arrow_by_name[b.arrow].tgt)
-        a_end = ae[0] if a.inverse else ae[1]
-        b_start = be[1] if b.inverse else be[0]
-        if a_end != b_start:
-            raise WordError(f"letters {a.render()} {b.render()} do not compose")
-        if a.arrow == b.arrow and a.inverse != b.inverse:
-            return False
-    return _runs_ok(q, letters)
+    _check_composable(q, letters)
+    return all(_step_ok(q, letters, k) for k in range(len(letters)))
 
 
 def is_string(w: StringWord) -> bool:
     """(S1) and (S2) for a composable walk; lazy words are strings."""
-    if not w.letters:
-        return True
     return is_string_letters(w.quiver, w.letters)
 
 
@@ -208,71 +212,31 @@ def canonical_string(w: StringWord) -> StringWord:
 
 def enumerate_strings(q: BoundQuiver, max_len: int) -> list[StringWord]:
     """All canonical strings of length at most ``max_len``, sorted."""
+    if max_len < 0:
+        raise QuiverError(f"max_len must be at least 0, got {max_len}")
     found: dict[tuple, StringWord] = {}
     for v in q.vertices:
         w = lazy_word(q, v)
         found[w.sort_key()] = w
-    frontier: list[tuple[Letter, ...]] = []
-    for a in q.arrows:
-        if not q.path_in_ideal((a.name,)):
-            for letter in (Letter(a.name, False), Letter(a.name, True)):
-                frontier.append((letter,))
+    frontier = [(Letter(a.name, inv),) for a in q.arrows for inv in (False, True)]
     while frontier:
         letters = frontier.pop()
         if len(letters) > max_len:
             continue
-        w = StringWord(q, letters)
-        c = canonical_string(w)
-        key = c.sort_key()
-        if key not in found:
-            found[key] = c
-        if len(letters) == max_len:
-            continue
-        for ext in _extensions(q, letters):
-            frontier.append(letters + (ext,))
+        c = canonical_string(StringWord(q, letters))
+        found.setdefault(c.sort_key(), c)
+        if len(letters) < max_len:
+            frontier.extend(_extensions(q, letters))
     return sorted(found.values(), key=StringWord.sort_key)
 
 
-def _extensions(q: BoundQuiver, letters: tuple[Letter, ...]) -> list[Letter]:
-    """Letters that extend a string on the right to a longer string."""
-    last = letters[-1]
-    a = q.arrow_by_name[last.arrow]
-    at = a.src if last.inverse else a.tgt
-    out: list[Letter] = []
-    for b in q.outgoing(at):
-        cand = Letter(b.name, False)
-        if last.inverse and b.name == last.arrow:
-            continue
-        if _tail_run_ok(q, letters, cand):
-            out.append(cand)
-    for b in q.incoming(at):
-        cand = Letter(b.name, True)
-        if not last.inverse and b.name == last.arrow:
-            continue
-        if _tail_run_ok(q, letters, cand):
-            out.append(cand)
-    return out
-
-
-def _tail_run_ok(q: BoundQuiver, letters: tuple[Letter, ...], cand: Letter) -> bool:
-    """Incremental (S2): the run ending in the appended letter stays nonzero."""
-    run = [cand.arrow]
-    for l in reversed(letters):
-        if l.inverse != cand.inverse:
-            break
-        run.append(l.arrow)
-    if cand.inverse:
-        path = tuple(run)  # reversed traversal already spells the path
-    else:
-        path = tuple(reversed(run))
-    # only factors ending at the new letter are new
-    for gen in q.monomials:
-        g = len(gen)
-        if g > len(path):
-            continue
-        if (not cand.inverse and path[-g:] == gen) or (cand.inverse and path[:g] == gen):
-            return False
-    return True
+def _extensions(q: BoundQuiver, letters: tuple[Letter, ...]) -> list[tuple[Letter, ...]]:
+    """The strings one letter longer than the string ``letters``."""
+    at = _letter_ends(q, letters[-1])[1]
+    cands = [Letter(b.name, False) for b in q.outgoing(at)]
+    cands += [Letter(b.name, True) for b in q.incoming(at)]
+    k = len(letters)
+    return [ext for ext in (letters + (c,) for c in cands) if _step_ok(q, ext, k)]
 
 
 # -- bands ---------------------------------------------------------------------
@@ -312,18 +276,11 @@ def _power_bound(q: BoundQuiver, length: int) -> int:
 
 
 def is_band(w: StringWord) -> bool:
-    q = w.quiver
-    if len(w) == 0 or w.source != w.target:
+    """A closed primitive walk all of whose powers are strings; strings are
+    prefix-closed, so testing the highest power needed covers the rest."""
+    if len(w) == 0 or w.source != w.target or not _is_primitive(w.letters):
         return False
-    if not is_string(w):
-        return False
-    if not _is_primitive(w.letters):
-        return False
-    m = _power_bound(q, len(w))
-    for k in range(2, m + 1):
-        if not is_string(w.power(k)):
-            return False
-    return True
+    return is_string(w.power(_power_bound(w.quiver, len(w))))
 
 
 def canonical_band(w: StringWord) -> BandClass:
@@ -348,9 +305,10 @@ def supports_once_per_direction(w: StringWord) -> bool:
 
 
 def enumerate_bands(
-    q: BoundQuiver, max_len: int, find_one: bool = False, minimal_only: bool = True
+    q: BoundQuiver, max_len: int | None = None, find_one: bool = False, minimal_only: bool = True
 ) -> list[BandClass]:
-    """Band classes with representative length at most ``max_len``.
+    """Band classes with representative length at most ``max_len``
+    (default ``2 |Q1|``).
 
     By default only bands supporting each arrow at most once per direction
     are listed; every band arises from these by splicing repetitions, so
@@ -359,12 +317,10 @@ def enumerate_bands(
     the unrestricted (potentially much larger) enumeration.  With
     ``find_one`` the search stops at the first band found.
     """
+    if max_len is None:
+        max_len = 2 * len(q.arrows)
     classes: dict[tuple, BandClass] = {}
-    frontier: list[tuple[Letter, ...]] = []
-    for a in q.arrows:
-        if not q.path_in_ideal((a.name,)):
-            frontier.append((Letter(a.name, False),))
-            frontier.append((Letter(a.name, True),))
+    frontier = [(Letter(a.name, inv),) for a in q.arrows for inv in (False, True)]
     while frontier:
         letters = frontier.pop()
         w = StringWord(q, letters)
@@ -374,11 +330,8 @@ def enumerate_bands(
             if find_one:
                 return [b]
         if len(letters) < max_len:
-            used = set(letters) if minimal_only else None
-            for ext in _extensions(q, letters):
-                if used is not None and ext in used:
-                    continue
-                frontier.append(letters + (ext,))
+            used = set(letters) if minimal_only else ()
+            frontier.extend(ext for ext in _extensions(q, letters) if ext[-1] not in used)
     return sorted(classes.values(), key=BandClass.sort_key)
 
 
@@ -386,14 +339,7 @@ def band_exists(q: BoundQuiver, bound: int | None = None) -> bool:
     """Rep-infiniteness test: a band exists iff one of length at most
     ``2 |Q1|`` does (a minimal band supports each arrow at most once per
     direction)."""
-    if bound is None:
-        bound = 2 * len(q.arrows)
     return bool(enumerate_bands(q, bound, find_one=True))
-
-
-def longest_band_length(q: BoundQuiver, bound: int | None = None) -> int:
-    bands = enumerate_bands(q, bound if bound is not None else 2 * len(q.arrows))
-    return max((b.length() for b in bands), default=0)
 
 
 # -- string modules -------------------------------------------------------------

@@ -143,3 +143,31 @@ def test_worker_env_accepted_and_rejected(tmp_path):
         assert len(lines) == 1
         assert lines[0].startswith("error: STRINGALG_WORKERS")
         assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["brick", "fixture:lambda3", "beta alpha"], "beta alpha is not a string"),
+        (["hom", "fixture:lambda3", "beta alpha", "e(1)"], "beta alpha is not a string"),
+        (["census", "fixture:lambda3", "--max-len", "-1"], "max_len must be at least 0"),
+        (["census", "fixture:lambda3", "--window", "-2"], "window_lo must be at least 0"),
+        (["strings", "fixture:lambda3", "--max-len", "-1"], "max_len must be at least 0"),
+        (["tau", "fixture:lambda3", "--m-max", "0"], "m_max must be at least 1"),
+        (["tau", "fixture:lambda3", "--budget", "-1"], "budget must be at least 0"),
+    ],
+)
+def test_bad_arguments_are_input_errors(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: {message}")
+
+
+def test_unknown_fixture_message(capsys):
+    assert main(["validate", "fixture:nope"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: unknown fixture 'nope'")

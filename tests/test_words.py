@@ -2,8 +2,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stringalg.fixtures import load_fixture
-from stringalg.quiver import parse_quiver
+from stringalg.quiver import MONOMIAL, parse_quiver
 from stringalg.words import (
+    Letter,
+    StringWord,
     WordError,
     band_exists,
     canonical_band,
@@ -170,3 +172,58 @@ def test_relation_matrices_vanish_on_fixture_strings(corpus):
 def test_non_composable_word_rejected(lambda2):
     with pytest.raises(WordError):
         word_from_text(lambda2, "beta alpha-")
+
+
+def _ends(q, l):
+    a = q.arrow_by_name[l.arrow]
+    return (a.tgt, a.src) if l.inverse else (a.src, a.tgt)
+
+
+def _composable_walks(q, max_len):
+    """Every composable letter walk of length 1..max_len, backtracks included."""
+    letters = [Letter(a.name, inv) for a in q.arrows for inv in (False, True)]
+    level = [(l,) for l in letters]
+    for _ in range(max_len):
+        yield from level
+        level = [w + (l,) for w in level for l in letters if _ends(q, w[-1])[1] == _ends(q, l)[0]]
+
+
+def _string_by_runs(q, letters):
+    """(S1) on neighbours; (S2) by searching each maximal run's path for a
+    relation factor."""
+    if any(a.arrow == b.arrow and a.inverse != b.inverse for a, b in zip(letters, letters[1:])):
+        return False
+    runs = []
+    for l in letters:
+        if runs and runs[-1][0] == l.inverse:
+            runs[-1][1].append(l.arrow)
+        else:
+            runs.append((l.inverse, [l.arrow]))
+    rels = [r.path1 for r in q.relations if r.kind == MONOMIAL]
+    for inverse, arrows in runs:
+        path = tuple(reversed(arrows)) if inverse else tuple(arrows)
+        for rel in rels:
+            if any(path[i : i + len(rel)] == rel for i in range(len(path) - len(rel) + 1)):
+                return False
+    return True
+
+
+def _band_by_powers(q, letters):
+    n = len(letters)
+    closed = _ends(q, letters[0])[0] == _ends(q, letters[-1])[1]
+    primitive = not any(n % d == 0 and letters == letters[:d] * (n // d) for d in range(1, n))
+    return closed and primitive and all(_string_by_runs(q, letters * k) for k in range(1, 5))
+
+
+@pytest.mark.parametrize("name", ["lambda3", "windwheel_a12", "bongartz_e_2_1_2"])
+def test_string_axioms_against_run_search(name):
+    q = load_fixture(name)
+    walks = strings = 0
+    for letters in _composable_walks(q, 7):
+        w = StringWord(q, letters)
+        expected = _string_by_runs(q, letters)
+        assert is_string(w) == expected, w
+        assert is_band(w) == _band_by_powers(q, letters), w
+        walks += 1
+        strings += expected
+    assert 0 < strings < walks
