@@ -60,7 +60,10 @@ def _load(path: str) -> tuple[BoundQuiver, str]:
         q = load_fixture(path[len("fixture:") :])
         return q, q.to_text()
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise QuiverError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     return parse_quiver(text), text
 
 
@@ -356,7 +359,7 @@ def main(argv=None) -> int:
     try:
         _worker_count()
         return args.fn(args)
-    except (QuiverError, FileNotFoundError) as exc:
+    except (QuiverError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .words import StringWord, WordError, canonical_string, is_string
+from .words import StringWord, WordError, _inverse_codes, is_string
 
 QUOTIENT = "quotient"
 SUBMODULE = "submodule"
@@ -85,11 +85,22 @@ def submodule_factorizations(u: StringWord) -> list[Factorization]:
     return [Factorization(u, i, j, SUBMODULE) for i, j in _submodule_splits(u)]
 
 
-def _middle_key(w: StringWord, i: int, j: int, walk: list[str]) -> tuple:
-    if i == j:
-        return ("lazy", walk[i])
-    c = canonical_string(w.slice(i, j))
-    return ("word", c.sort_key())
+def _key_function(w: StringWord):
+    """The key of the middle ``w[i:j]``, as a function of ``(i, j)``.
+
+    Two middles, of this word or of another word of the same quiver, have
+    equal keys exactly when they are equal strings up to inversion; a lazy
+    middle is keyed by its vertex.
+    """
+    walk = w.walk_vertices()
+    c = w.codes()
+    r = _inverse_codes(c)
+    n = len(c)
+
+    def key(i: int, j: int):
+        return walk[i] if i == j else min(c[i:j], r[n - j : n - i])
+
+    return key
 
 
 def admissible_pairs(u: StringWord, v: StringWord) -> HomBasis:
@@ -97,14 +108,13 @@ def admissible_pairs(u: StringWord, v: StringWord) -> HomBasis:
     for w in (u, v):
         if not is_string(w):
             raise WordError(f"{w.render()} is not a string")
-    walk_u, walk_v = u.walk_vertices(), v.walk_vertices()
-    sub_index: dict[tuple, list[tuple[int, int]]] = {}
+    key_u, key_v = _key_function(u), _key_function(v)
+    sub_index: dict[object, list[tuple[int, int]]] = {}
     for i, j in _submodule_splits(v):
-        sub_index.setdefault(_middle_key(v, i, j, walk_v), []).append((i, j))
+        sub_index.setdefault(key_v(i, j), []).append((i, j))
     pairs = []
     for i, j in sorted(_quotient_splits(u)):
-        key = _middle_key(u, i, j, walk_u)
-        for i2, j2 in sorted(sub_index.get(key, ())):
+        for i2, j2 in sorted(sub_index.get(key_u(i, j), ())):
             pairs.append(
                 AdmissiblePair(
                     Factorization(u, i, j, QUOTIENT), Factorization(v, i2, j2, SUBMODULE)
@@ -121,24 +131,14 @@ def hom_dim(u: StringWord, v: StringWord) -> int:
 def is_brick(w: StringWord) -> bool:
     """One-dimensional endomorphism space: only the trivial pair survives.
 
-    Scans short stripped sides first, which detects most non-bricks quickly,
-    then falls back to the full enumeration.
+    The split ``(0, n)`` is the only middle of full length ``n``, so the
+    trivial pair is the only pair with a middle of length ``n``; ``w`` is a
+    brick iff no quotient middle shorter than ``n`` has the key of a
+    submodule middle shorter than ``n``.  The scan stops at the first match.
     """
     if not is_string(w):
         raise WordError(f"{w.render()} is not a string")
-    walk = w.walk_vertices()
-    q_splits = _quotient_splits(w)
-    s_splits = _submodule_splits(w)
-    sub_index: dict[tuple, list[tuple[int, int]]] = {}
-    for i, j in s_splits:
-        sub_index.setdefault(_middle_key(w, i, j, walk), []).append((i, j))
+    key = _key_function(w)
     n = len(w)
-    trivial = (0, n)
-    # short middles are the common witnesses; scan by middle length
-    for i, j in sorted(q_splits, key=lambda t: t[1] - t[0]):
-        key = _middle_key(w, i, j, walk)
-        for other in sub_index.get(key, ()):
-            if (i, j) == trivial and other == trivial:
-                continue
-            return False
-    return True
+    sub_keys = {key(i, j) for i, j in _submodule_splits(w) if j - i < n}
+    return not any(key(i, j) in sub_keys for i, j in _quotient_splits(w) if j - i < n)

@@ -36,6 +36,21 @@ def _letter_ends(q: BoundQuiver, letter: Letter) -> tuple[str, str]:
     return (a.tgt, a.src) if letter.inverse else (a.src, a.tgt)
 
 
+def _codes(q: BoundQuiver, letters: Sequence[Letter]) -> tuple[int, ...]:
+    """Letter codes ``2*arrow_index + inverse`` in traversal order.
+
+    Code order is the (arrow index, inverse) letter order, so comparing code
+    tuples compares words of equal length.
+    """
+    index = q.arrow_index
+    return tuple(2 * index[l.arrow] + l.inverse for l in letters)
+
+
+def _inverse_codes(c: tuple[int, ...]) -> tuple[int, ...]:
+    """The codes of the inverse word: reversed, each letter's direction flipped."""
+    return tuple(x ^ 1 for x in reversed(c))
+
+
 @dataclass(frozen=True)
 class StringWord:
     """A reduced walk satisfying (S1)/(S2); empty words carry a basepoint."""
@@ -116,15 +131,13 @@ class StringWord:
 
     # -- canonical form -------------------------------------------------------
 
+    def codes(self) -> tuple[int, ...]:
+        return _codes(self.quiver, self.letters)
+
     def sort_key(self) -> tuple:
-        q = self.quiver
         if not self.letters:
-            return (0, (), q.vertex_index[self.basepoint])  # type: ignore[index]
-        return (
-            len(self.letters),
-            tuple((q.arrow_index[l.arrow], int(l.inverse)) for l in self.letters),
-            -1,
-        )
+            return (0, (), self.quiver.vertex_index[self.basepoint])  # type: ignore[index]
+        return (len(self.letters), self.codes(), -1)
 
     def render(self) -> str:
         if not self.letters:
@@ -206,8 +219,8 @@ def is_string(w: StringWord) -> bool:
 
 def canonical_string(w: StringWord) -> StringWord:
     """The smaller of ``w`` and its inverse in the letter order."""
-    wi = w.inverse()
-    return w if w.sort_key() <= wi.sort_key() else wi
+    c = w.codes()
+    return w if c <= _inverse_codes(c) else w.inverse()
 
 
 def enumerate_strings(q: BoundQuiver, max_len: int) -> list[StringWord]:
@@ -223,11 +236,15 @@ def enumerate_strings(q: BoundQuiver, max_len: int) -> list[StringWord]:
         letters = frontier.pop()
         if len(letters) > max_len:
             continue
-        c = canonical_string(StringWord(q, letters))
-        found.setdefault(c.sort_key(), c)
+        c = _codes(q, letters)
+        r = _inverse_codes(c)
+        key = (len(c), min(c, r), -1)
+        if key not in found:
+            w = StringWord(q, letters)
+            found[key] = w if c <= r else w.inverse()
         if len(letters) < max_len:
             frontier.extend(_extensions(q, letters))
-    return sorted(found.values(), key=StringWord.sort_key)
+    return [found[key] for key in sorted(found)]
 
 
 def _extensions(q: BoundQuiver, letters: tuple[Letter, ...]) -> list[tuple[Letter, ...]]:
@@ -285,14 +302,13 @@ def is_band(w: StringWord) -> bool:
 
 def canonical_band(w: StringWord) -> BandClass:
     """Least rotation over the word and its inverse."""
-    best = None
-    for base in (w, w.inverse()):
-        for k in range(len(base)):
-            r = base.rotate(k)
-            if best is None or r.sort_key() < best.sort_key():
-                best = r
-    assert best is not None
-    return BandClass(best)
+    c = w.codes()
+    _, inverted, k = min(
+        (x[k:] + x[:k], inverted, k)
+        for inverted, x in enumerate((c, _inverse_codes(c)))
+        for k in range(len(c))
+    )
+    return BandClass((w.inverse() if inverted else w).rotate(k))
 
 
 def supports_once_per_direction(w: StringWord) -> bool:
@@ -319,6 +335,10 @@ def enumerate_bands(
     """
     if max_len is None:
         max_len = 2 * len(q.arrows)
+    if max_len < 0:
+        raise QuiverError(f"max_len must be at least 0, got {max_len}")
+    if max_len == 0:
+        return []
     classes: dict[tuple, BandClass] = {}
     frontier = [(Letter(a.name, inv),) for a in q.arrows for inv in (False, True)]
     while frontier:

@@ -155,6 +155,7 @@ def test_worker_env_accepted_and_rejected(tmp_path):
         (["strings", "fixture:lambda3", "--max-len", "-1"], "max_len must be at least 0"),
         (["tau", "fixture:lambda3", "--m-max", "0"], "m_max must be at least 1"),
         (["tau", "fixture:lambda3", "--budget", "-1"], "budget must be at least 0"),
+        (["bands", "fixture:lambda3", "--max-len", "-1"], "max_len must be at least 0"),
     ],
 )
 def test_bad_arguments_are_input_errors(argv, message, capsys):
@@ -164,6 +165,24 @@ def test_bad_arguments_are_input_errors(argv, message, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize(
+    "content",
+    [None, "quiver caf\xe9\nvertices: x\n".encode("latin-1")],
+    ids=["directory", "not-utf8"],
+)
+def test_unreadable_input_is_an_input_error(content, tmp_path, capsys):
+    path = tmp_path
+    if content is not None:
+        path = tmp_path / "latin1.quiver"
+        path.write_bytes(content)
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error:")
 
 
 def test_unknown_fixture_message(capsys):

@@ -1,14 +1,25 @@
 import itertools
 
+import pytest
+
 from stringalg.fixtures import load_fixture
 from stringalg.graphmaps import (
+    _key_function,
     admissible_pairs,
     hom_dim,
     is_brick,
     quotient_factorizations,
     submodule_factorizations,
 )
-from stringalg.words import enumerate_strings, lazy_word, word_from_text
+from stringalg.words import (
+    Letter,
+    StringWord,
+    canonical_band,
+    enumerate_bands,
+    enumerate_strings,
+    lazy_word,
+    word_from_text,
+)
 
 
 def test_lazy_word_has_one_factorization_each_way(lambda3):
@@ -115,3 +126,82 @@ def test_substring_reduction_of_endomorphism_pairs(lambda2, lambda4, loops_barbe
                     and p.submodule.splits() == (v1, v1 + j2 - i2)
                     for p in stripped.pairs
                 )
+
+
+# -- the middle keys against a reference built from letters ---------------------
+
+
+def _pair_key(q, letters):
+    return tuple((q.arrow_index[l.arrow], int(l.inverse)) for l in letters)
+
+
+def _reversed_inverse(letters):
+    return tuple(Letter(l.arrow, not l.inverse) for l in reversed(letters))
+
+
+def _reference_middle(w, i, j):
+    """The middle ``w[i:j]`` up to inversion: the smaller of its letters and
+    their reversed inverses in the (arrow index, inverse) order."""
+    if i == j:
+        return ("lazy", w.walk_vertices()[i])
+    part = w.letters[i:j]
+    return ("word", min(_pair_key(w.quiver, part), _pair_key(w.quiver, _reversed_inverse(part))))
+
+
+KEY_FIXTURES = ["lambda2", "loops_barbell", "windwheel_a12", "big_gentle"]
+
+
+@pytest.mark.parametrize("name", KEY_FIXTURES)
+def test_middle_keys_agree_with_reference_forms(name, corpus):
+    q = corpus[name]
+    ref_of_key, key_of_ref = {}, {}
+    for w in enumerate_strings(q, 6):
+        key = _key_function(w)
+        n = len(w)
+        refs = {}
+        for i in range(n + 1):
+            for j in range(i, n + 1):
+                k, ref = key(i, j), _reference_middle(w, i, j)
+                # equal keys exactly when equal reference forms, across words
+                assert ref_of_key.setdefault(k, ref) == ref, (w.render(), i, j)
+                assert key_of_ref.setdefault(ref, k) == k, (w.render(), i, j)
+                refs[(i, j)] = ref
+        matches = [
+            (f, g)
+            for f in quotient_factorizations(w)
+            for g in submodule_factorizations(w)
+            if refs[f.splits()] == refs[g.splits()]
+        ]
+        assert admissible_pairs(w, w).dim == len(matches), w.render()
+        assert is_brick(w) == (len(matches) == 1), w.render()
+
+
+@pytest.mark.parametrize("name", KEY_FIXTURES)
+def test_sort_key_is_the_letter_pair_order(name, corpus):
+    q = corpus[name]
+
+    def pair_sort_key(w):
+        if not w.letters:
+            return (0, (), q.vertex_index[w.basepoint])
+        return (len(w), _pair_key(q, w.letters), -1)
+
+    words = enumerate_strings(q, 6)
+    assert words == sorted(words, key=pair_sort_key)
+    pool = words + [w.inverse() for w in words if w.letters]
+    assert sorted(pool, key=StringWord.sort_key) == sorted(pool, key=pair_sort_key)
+
+
+def test_canonical_band_is_the_least_rotation(corpus):
+    for q in corpus.values():
+        for band in enumerate_bands(q):
+            rep = band.representative
+            for base in (rep, rep.inverse()):
+                for k in range(len(rep)):
+                    w = base.rotate(k)
+                    rotations = [
+                        x[t:] + x[:t]
+                        for x in (w.letters, _reversed_inverse(w.letters))
+                        for t in range(len(w))
+                    ]
+                    least = min(rotations, key=lambda r: _pair_key(q, r))
+                    assert canonical_band(w).representative.letters == least, (q.name, w.render())

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stringalg.fixtures import load_fixture
-from stringalg.quiver import MONOMIAL, parse_quiver
+from stringalg.quiver import MONOMIAL, QuiverError, parse_quiver
 from stringalg.words import (
     Letter,
     StringWord,
@@ -113,6 +113,14 @@ def test_band_existence(corpus, windwheel):
     assert band_exists(corpus["atilde5"])
     assert not band_exists(corpus["linear_a5"])
     assert len(enumerate_bands(windwheel, 2 * len(windwheel.arrows))) == 1
+
+
+def test_enumerate_bands_respects_its_bound():
+    q = parse_quiver("quiver loop\nvertices: x\narrow a: x -> x\n")
+    with pytest.raises(QuiverError, match="max_len must be at least 0"):
+        enumerate_bands(q, -3)
+    assert enumerate_bands(q, 0) == []
+    assert [b.render() for b in enumerate_bands(q, 1)] == ["a"]
 
 
 def test_string_module_shapes(lambda2):
