@@ -5,12 +5,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphmaps import is_brick
+from .graphmaps import _is_brick_codes, is_brick
 from .oracle import end_dim_linear
 from .quiver import BoundQuiver, QuiverError, validate_string_algebra
 from .words import (
     BandClass,
     StringWord,
+    _code_ends,
+    _walk,
     canonical_band,
     enumerate_bands,
     enumerate_strings,
@@ -58,10 +60,13 @@ def brick_census(q: BoundQuiver, max_len: int, window_lo: int | None = None) -> 
         longest = max((b.length() for b in bands), default=0)
         window_lo = min(2 * longest, max_len) if longest else max_len
     per_length: dict[int, tuple[int, int]] = {l: (0, 0) for l in range(max_len + 1)}
+    ends = _code_ends(q)
     for w in enumerate_strings(q, max_len):
-        l = len(w)
-        s, b = per_length[l]
-        per_length[l] = (s + 1, b + (1 if is_brick(w) else 0))
+        c = w.codes()
+        # a lazy word's module is simple, hence a brick
+        brick = not c or _is_brick_codes(c, _walk(ends, c))
+        s, b = per_length[len(c)]
+        per_length[len(c)] = (s + 1, b + brick)
     stabilized = all(per_length[l][1] == 0 for l in range(window_lo + 1, max_len + 1))
     return CensusReport(per_length, bands, stabilized, max_len, window_lo)
 
@@ -139,11 +144,13 @@ def brick_rotation(b: BandClass, m_max: int) -> StringWord | None:
     representative.
     """
     rep = b.representative
+    ends = _code_ends(rep.quiver)
     for base in (rep, rep.inverse()):
-        for k in range(len(base)):
-            r = base.rotate(k)
-            if all(is_brick(r.power(m)) for m in range(1, m_max + 1)):
-                return r
+        c = base.codes()
+        for k in range(len(c)):
+            r = c[k:] + c[:k]
+            if all(_is_brick_codes(r * m, _walk(ends, r * m)) for m in range(1, m_max + 1)):
+                return base.rotate(k)
     return None
 
 

@@ -61,39 +61,48 @@ class HomBasis:
         return len(self.pairs)
 
 
-def _quotient_splits(w: StringWord) -> list[tuple[int, int]]:
-    n = len(w)
-    lo = [i for i in range(n + 1) if i == 0 or w.letters[i - 1].inverse]
-    hi = [j for j in range(n + 1) if j == n or not w.letters[j].inverse]
+def _bounds(c: tuple[int, ...], inverse_before: int) -> tuple[list[int], list[int]]:
+    """Where the middles of one kind may start and where they may end.
+
+    A quotient middle starts after an inverse letter and ends before a
+    direct one (``inverse_before = 1``); a submodule middle starts after a
+    direct letter and ends before an inverse one (``inverse_before = 0``).
+    The ends of the word are always allowed.
+    """
+    n = len(c)
+    lo = [i for i in range(n + 1) if i == 0 or c[i - 1] & 1 == inverse_before]
+    hi = [j for j in range(n + 1) if j == n or c[j] & 1 != inverse_before]
+    return lo, hi
+
+
+def _quotient_splits(c: tuple[int, ...]) -> list[tuple[int, int]]:
+    lo, hi = _bounds(c, 1)
     return [(i, j) for i in lo for j in hi if i <= j]
 
 
-def _submodule_splits(w: StringWord) -> list[tuple[int, int]]:
-    n = len(w)
-    lo = [i for i in range(n + 1) if i == 0 or not w.letters[i - 1].inverse]
-    hi = [j for j in range(n + 1) if j == n or w.letters[j].inverse]
+def _submodule_splits(c: tuple[int, ...]) -> list[tuple[int, int]]:
+    lo, hi = _bounds(c, 0)
     return [(i, j) for i in lo for j in hi if i <= j]
 
 
 def quotient_factorizations(u: StringWord) -> list[Factorization]:
     """All factorizations inducing quotient maps M(u) ->> M(u2)."""
-    return [Factorization(u, i, j, QUOTIENT) for i, j in _quotient_splits(u)]
+    return [Factorization(u, i, j, QUOTIENT) for i, j in _quotient_splits(u.codes())]
 
 
 def submodule_factorizations(u: StringWord) -> list[Factorization]:
     """All factorizations inducing inclusions M(u2) -> M(u)."""
-    return [Factorization(u, i, j, SUBMODULE) for i, j in _submodule_splits(u)]
+    return [Factorization(u, i, j, SUBMODULE) for i, j in _submodule_splits(u.codes())]
 
 
-def _key_function(w: StringWord):
-    """The key of the middle ``w[i:j]``, as a function of ``(i, j)``.
+def _key_function(c: tuple[int, ...], walk: list[str]):
+    """The key of the middle ``c[i:j]`` of a string with codes ``c`` and
+    walk vertices ``walk``, as a function of ``(i, j)``.
 
     Two middles, of this word or of another word of the same quiver, have
     equal keys exactly when they are equal strings up to inversion; a lazy
     middle is keyed by its vertex.
     """
-    walk = w.walk_vertices()
-    c = w.codes()
     r = _inverse_codes(c)
     n = len(c)
 
@@ -108,12 +117,14 @@ def admissible_pairs(u: StringWord, v: StringWord) -> HomBasis:
     for w in (u, v):
         if not is_string(w):
             raise WordError(f"{w.render()} is not a string")
-    key_u, key_v = _key_function(u), _key_function(v)
+    cu, cv = u.codes(), v.codes()
+    key_u = _key_function(cu, u.walk_vertices())
+    key_v = _key_function(cv, v.walk_vertices())
     sub_index: dict[object, list[tuple[int, int]]] = {}
-    for i, j in _submodule_splits(v):
+    for i, j in _submodule_splits(cv):
         sub_index.setdefault(key_v(i, j), []).append((i, j))
     pairs = []
-    for i, j in sorted(_quotient_splits(u)):
+    for i, j in sorted(_quotient_splits(cu)):
         for i2, j2 in sorted(sub_index.get(key_u(i, j), ())):
             pairs.append(
                 AdmissiblePair(
@@ -128,17 +139,32 @@ def hom_dim(u: StringWord, v: StringWord) -> int:
     return admissible_pairs(u, v).dim
 
 
-def is_brick(w: StringWord) -> bool:
-    """One-dimensional endomorphism space: only the trivial pair survives.
+def _is_brick_codes(c: tuple[int, ...], walk: list[str]) -> bool:
+    """The brick test for a word already known to be a string, given by its
+    codes and walk vertices.
 
     The split ``(0, n)`` is the only middle of full length ``n``, so the
-    trivial pair is the only pair with a middle of length ``n``; ``w`` is a
-    brick iff no quotient middle shorter than ``n`` has the key of a
-    submodule middle shorter than ``n``.  The scan stops at the first match.
+    trivial pair is the only pair with a middle of length ``n``; the string
+    is a brick iff no quotient middle shorter than ``n`` has the key of a
+    submodule middle of the same length.  Lengths are scanned upwards, and
+    the scan stops at the first match.
     """
+    key = _key_function(c, walk)
+    n = len(c)
+    sub_lo, sub_hi = _bounds(c, 0)
+    quo_lo, quo_hi = _bounds(c, 1)
+    sub_hi, quo_hi = set(sub_hi), set(quo_hi)
+    for length in range(n):
+        sub_keys = {key(i, i + length) for i in sub_lo if i + length in sub_hi}
+        if sub_keys and any(
+            key(i, i + length) in sub_keys for i in quo_lo if i + length in quo_hi
+        ):
+            return False
+    return True
+
+
+def is_brick(w: StringWord) -> bool:
+    """One-dimensional endomorphism space: only the trivial pair survives."""
     if not is_string(w):
         raise WordError(f"{w.render()} is not a string")
-    key = _key_function(w)
-    n = len(w)
-    sub_keys = {key(i, j) for i, j in _submodule_splits(w) if j - i < n}
-    return not any(key(i, j) in sub_keys for i, j in _quotient_splits(w) if j - i < n)
+    return _is_brick_codes(w.codes(), w.walk_vertices())

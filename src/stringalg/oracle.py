@@ -3,9 +3,12 @@
 A morphism between representations U and V is a tuple of matrices
 ``f_x`` with ``f_{e(a)} U_a = V_a f_{s(a)}`` for every arrow ``a``.  The
 solution space dimension is computed by fraction-free integer elimination
-(Bareiss), never floating point.  All coefficients here are 0 or +-1, so
-the rank is the same over any field of characteristic 0; a characteristic
-32003 recomputation is available as a sanity mode.
+(Bareiss), never floating point.  Each step divides exactly by the previous
+pivot; a row whose entry in the pivot column is 0 is left as it is only
+when the pivot equals the previous pivot, since only then is its update
+``row * pivot // previous`` the identity.  The rank is the same over any
+field of characteristic 0; a characteristic 32003 recomputation is
+available as a sanity mode.
 """
 
 from __future__ import annotations
@@ -70,8 +73,8 @@ def _rank_bareiss(rows: list[list[int]]) -> int:
         for r in range(rank + 1, n_rows):
             mr, mp = m[r], m[rank]
             frr = mr[col]
-            if frr == 0 and prev == 1:
-                continue
+            if frr == 0 and piv == prev:
+                continue  # the update below would be ``mr[c] * piv // prev``: the identity
             for c in range(col, n_cols):
                 mr[c] = (mr[c] * piv - frr * mp[c]) // prev
         rank += 1

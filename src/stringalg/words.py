@@ -176,45 +176,118 @@ def lazy_word(q: BoundQuiver, vertex: str) -> StringWord:
 # -- the string axioms ---------------------------------------------------------
 
 
+class _Steps(NamedTuple):
+    """The string axioms of one quiver as a rule on letter codes.
+
+    ``succ[x]`` lists the codes that may follow code ``x``: the letters that
+    start where ``x`` ends, outgoing arrows direct first, then incoming
+    arrows inverse, without ``x ^ 1``, which would undo ``x`` (S1).
+    ``forbidden`` holds each monomial relation twice, as its direct codes
+    and as their inverse codes, the way an inverse run spells it (S2);
+    ``lengths`` are the relation lengths, ascending.
+    """
+
+    succ: tuple[tuple[int, ...], ...]
+    forbidden: frozenset[tuple[int, ...]]
+    lengths: tuple[int, ...]
+
+
+# Step tables of a few recent quivers, by identity.  Hom and brick tests
+# check many words of one quiver, while a census keeps hundreds of parsed
+# quivers alive, so a table stored on every quiver would only cost memory.
+# An entry holds its quiver, so its id stays unique; a full memo is cleared,
+# which is safe under concurrent use (at worst a table is built twice).
+_STEPS_MEMO: dict[int, tuple[BoundQuiver, _Steps]] = {}
+_STEPS_MEMO_SIZE = 8
+
+
+def _steps(q: BoundQuiver) -> _Steps:
+    """The step table of ``q``."""
+    hit = _STEPS_MEMO.get(id(q))
+    if hit is not None:
+        return hit[1]
+    steps = _build_steps(q)
+    if len(_STEPS_MEMO) >= _STEPS_MEMO_SIZE:
+        _STEPS_MEMO.clear()
+    _STEPS_MEMO[id(q)] = (q, steps)
+    return steps
+
+
+def _build_steps(q: BoundQuiver) -> _Steps:
+    index = q.arrow_index
+    leave = {
+        v: [2 * index[b.name] for b in q.outgoing(v)] + [2 * index[b.name] + 1 for b in q.incoming(v)]
+        for v in q.vertices
+    }
+    succ = []
+    for i, a in enumerate(q.arrows):
+        succ.append(tuple(y for y in leave[a.tgt] if y != 2 * i + 1))
+        succ.append(tuple(y for y in leave[a.src] if y != 2 * i))
+    forbidden = set()
+    for path in q.monomials:
+        d = tuple(2 * index[x] for x in path)
+        forbidden.update((d, _inverse_codes(d)))
+    return _Steps(tuple(succ), frozenset(forbidden), q._rel_lengths)
+
+
+def _step_ok(steps: _Steps, c: tuple[int, ...], k: int) -> bool:
+    """(S1) and (S2) at code ``k`` of a code walk whose first ``k`` codes
+    form a string.
+
+    Code ``k`` must lie in the successors of code ``k-1``, and no suffix of
+    ``c[:k+1]`` may be a forbidden window.  A window that mixes directions
+    never matches, so runs need no tracking; each relation factor of a run
+    ends at exactly one code, so a walk is a string iff every code passes.
+    """
+    succ, forbidden, lengths = steps
+    if k and c[k] not in succ[c[k - 1]]:
+        return False
+    for g in lengths:
+        if g > k + 1:
+            break
+        if c[k + 1 - g : k + 1] in forbidden:
+            return False
+    return True
+
+
+def _extend(steps: _Steps, c: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The strings one code longer than the string ``c``, in ``succ`` order."""
+    k = len(c)
+    return [e for e in (c + (y,) for y in steps.succ[c[-1]]) if _step_ok(steps, e, k)]
+
+
+def _code_letters(q: BoundQuiver) -> tuple[Letter, ...]:
+    """The letter of each code."""
+    return tuple(Letter(a.name, inv) for a in q.arrows for inv in (False, True))
+
+
+def _code_ends(q: BoundQuiver) -> tuple[str, ...]:
+    """The vertex where each code ends; code ``x`` starts at ``ends[x ^ 1]``."""
+    return tuple(v for a in q.arrows for v in (a.tgt, a.src))
+
+
+def _walk(ends: tuple[str, ...], c: tuple[int, ...]) -> list[str]:
+    """The ``len(c) + 1`` vertices a non-empty code walk visits."""
+    return [ends[c[0] ^ 1], *map(ends.__getitem__, c)]
+
+
 def _check_composable(q: BoundQuiver, letters: Sequence[Letter]) -> None:
     for a, b in zip(letters, letters[1:]):
         if _letter_ends(q, a)[1] != _letter_ends(q, b)[0]:
             raise WordError(f"letters {a.render()} {b.render()} do not compose")
 
 
-def _step_ok(q: BoundQuiver, letters: Sequence[Letter], k: int) -> bool:
-    """(S1) and (S2) at letter ``k`` of a composable walk.
-
-    (S1): letter ``k`` does not undo letter ``k-1``.  (S2): no relation is
-    spelled by a one-directional run suffix ending at letter ``k``, read in
-    path order (an inverse run spells its path backwards).  A walk is a
-    string iff every letter passes, since each relation factor of a run ends
-    at exactly one letter.
-    """
-    cur = letters[k]
-    if k and letters[k - 1].arrow == cur.arrow and letters[k - 1].inverse != cur.inverse:
-        return False
-    back = [cur.arrow]  # the run suffix, letter k first
-    i = k - 1
-    while i >= 0 and len(back) < q._max_rel_len and letters[i].inverse == cur.inverse:
-        back.append(letters[i].arrow)
-        i -= 1
-    for g in q._rel_lengths:
-        if g > len(back):
-            break
-        if (tuple(back[:g]) if cur.inverse else tuple(back[g - 1 :: -1])) in q._monomial_set:
-            return False
-    return True
-
-
-def is_string_letters(q: BoundQuiver, letters: Sequence[Letter]) -> bool:
-    _check_composable(q, letters)
-    return all(_step_ok(q, letters, k) for k in range(len(letters)))
-
-
 def is_string(w: StringWord) -> bool:
-    """(S1) and (S2) for a composable walk; lazy words are strings."""
-    return is_string_letters(w.quiver, w.letters)
+    """(S1) and (S2) for a composable walk; lazy words are strings.
+
+    Raises ``WordError`` if the walk is not composable.
+    """
+    c = w.codes()
+    steps = _steps(w.quiver)
+    if all(_step_ok(steps, c, k) for k in range(len(c))):
+        return True
+    _check_composable(w.quiver, w.letters)
+    return False
 
 
 def canonical_string(w: StringWord) -> StringWord:
@@ -227,33 +300,24 @@ def enumerate_strings(q: BoundQuiver, max_len: int) -> list[StringWord]:
     """All canonical strings of length at most ``max_len``, sorted."""
     if max_len < 0:
         raise QuiverError(f"max_len must be at least 0, got {max_len}")
-    found: dict[tuple, StringWord] = {}
-    for v in q.vertices:
-        w = lazy_word(q, v)
-        found[w.sort_key()] = w
-    frontier = [(Letter(a.name, inv),) for a in q.arrows for inv in (False, True)]
-    while frontier:
-        letters = frontier.pop()
-        if len(letters) > max_len:
-            continue
-        c = _codes(q, letters)
-        r = _inverse_codes(c)
-        key = (len(c), min(c, r), -1)
-        if key not in found:
-            w = StringWord(q, letters)
-            found[key] = w if c <= r else w.inverse()
-        if len(letters) < max_len:
-            frontier.extend(_extensions(q, letters))
-    return [found[key] for key in sorted(found)]
-
-
-def _extensions(q: BoundQuiver, letters: tuple[Letter, ...]) -> list[tuple[Letter, ...]]:
-    """The strings one letter longer than the string ``letters``."""
-    at = _letter_ends(q, letters[-1])[1]
-    cands = [Letter(b.name, False) for b in q.outgoing(at)]
-    cands += [Letter(b.name, True) for b in q.incoming(at)]
-    k = len(letters)
-    return [ext for ext in (letters + (c,) for c in cands) if _step_ok(q, ext, k)]
+    canonical = []
+    if max_len:
+        steps = _steps(q)
+        frontier = [(x,) for x in range(2 * len(q.arrows))]
+        while frontier:
+            c = frontier.pop()
+            # the search meets every string and its inverse, never equal:
+            # keep the smaller, mostly decided by the first letters
+            first, inv_first = c[0], c[-1] ^ 1
+            if first < inv_first or (first == inv_first and c < _inverse_codes(c)):
+                canonical.append(c)
+            if len(c) < max_len:
+                frontier.extend(_extend(steps, c))
+    canonical.sort(key=lambda c: (len(c), c))
+    letters = _code_letters(q)
+    return [lazy_word(q, v) for v in q.vertices] + [
+        StringWord(q, tuple(map(letters.__getitem__, c))) for c in canonical
+    ]
 
 
 # -- bands ---------------------------------------------------------------------
@@ -278,10 +342,10 @@ class BandClass:
         return f"Band<{self.render()}>"
 
 
-def _is_primitive(letters: tuple[Letter, ...]) -> bool:
-    n = len(letters)
+def _is_primitive(c: tuple[int, ...]) -> bool:
+    n = len(c)
     for d in range(1, n):
-        if n % d == 0 and letters == letters[:d] * (n // d):
+        if n % d == 0 and c == c[:d] * (n // d):
             return False
     return True
 
@@ -292,23 +356,35 @@ def _power_bound(q: BoundQuiver, length: int) -> int:
     return need
 
 
+def _is_band_codes(q: BoundQuiver, steps: _Steps, c: tuple[int, ...]) -> bool:
+    """Whether the string ``c`` is a band: its power passes the rule past
+    ``c`` itself (the first step there closes the walk), and ``c`` is
+    primitive."""
+    if c[0] not in steps.succ[c[-1]]:
+        return False  # not closed, or the seam undoes a letter: most strings
+    p = c * _power_bound(q, len(c))
+    return all(_step_ok(steps, p, k) for k in range(len(c), len(p))) and _is_primitive(c)
+
+
 def is_band(w: StringWord) -> bool:
     """A closed primitive walk all of whose powers are strings; strings are
     prefix-closed, so testing the highest power needed covers the rest."""
-    if len(w) == 0 or w.source != w.target or not _is_primitive(w.letters):
+    if len(w) == 0 or w.source != w.target or not is_string(w):
         return False
-    return is_string(w.power(_power_bound(w.quiver, len(w))))
+    return _is_band_codes(w.quiver, _steps(w.quiver), w.codes())
+
+
+def _band_class(q: BoundQuiver, c: tuple[int, ...]) -> BandClass:
+    """The class of a band given by codes: its least rotation over the word
+    and its inverse."""
+    least = min(x[k:] + x[:k] for x in (c, _inverse_codes(c)) for k in range(len(c)))
+    letters = _code_letters(q)
+    return BandClass(StringWord(q, tuple(letters[x] for x in least)))
 
 
 def canonical_band(w: StringWord) -> BandClass:
     """Least rotation over the word and its inverse."""
-    c = w.codes()
-    _, inverted, k = min(
-        (x[k:] + x[:k], inverted, k)
-        for inverted, x in enumerate((c, _inverse_codes(c)))
-        for k in range(len(c))
-    )
-    return BandClass((w.inverse() if inverted else w).rotate(k))
+    return _band_class(w.quiver, w.codes())
 
 
 def supports_once_per_direction(w: StringWord) -> bool:
@@ -339,19 +415,19 @@ def enumerate_bands(
         raise QuiverError(f"max_len must be at least 0, got {max_len}")
     if max_len == 0:
         return []
+    steps = _steps(q)
     classes: dict[tuple, BandClass] = {}
-    frontier = [(Letter(a.name, inv),) for a in q.arrows for inv in (False, True)]
+    frontier = [(x,) for x in range(2 * len(q.arrows))]
     while frontier:
-        letters = frontier.pop()
-        w = StringWord(q, letters)
-        if w.source == w.target and is_band(w):
-            b = canonical_band(w)
+        c = frontier.pop()
+        if _is_band_codes(q, steps, c):
+            b = _band_class(q, c)
             classes.setdefault(b.sort_key(), b)
             if find_one:
                 return [b]
-        if len(letters) < max_len:
-            used = set(letters) if minimal_only else ()
-            frontier.extend(ext for ext in _extensions(q, letters) if ext[-1] not in used)
+        if len(c) < max_len:
+            used = set(c) if minimal_only else ()
+            frontier.extend(e for e in _extend(steps, c) if e[-1] not in used)
     return sorted(classes.values(), key=BandClass.sort_key)
 
 

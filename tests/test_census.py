@@ -113,3 +113,21 @@ def test_census_sees_the_witness_family(corpus):
     report = brick_census(q, 12)
     for m in (1, 2, 3):
         assert report.per_length[4 * m][1] >= 1
+
+
+def test_census_brick_counts_agree_with_public_is_brick(corpus):
+    from stringalg.graphmaps import is_brick
+    from stringalg.words import enumerate_strings
+
+    checked = 0
+    for name, q in corpus.items():
+        if not validate_string_algebra(q).holds:
+            continue
+        expected = {l: [0, 0] for l in range(9)}
+        for w in enumerate_strings(q, 8):
+            expected[len(w)][0] += 1
+            expected[len(w)][1] += is_brick(w)
+        got = brick_census(q, 8).per_length
+        assert {l: list(v) for l, v in got.items()} == expected, name
+        checked += 1
+    assert checked == 25

@@ -1,4 +1,6 @@
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -13,6 +15,47 @@ def test_bareiss_rank_small_cases():
     assert _rank_bareiss([[0, 0], [0, 0]]) == 0
     assert _rank_bareiss([[1, 2], [2, 4]]) == 1
     assert _rank_bareiss([[1, 0, 1], [0, 1, 1], [1, 1, 0]]) == 3
+
+
+def _rank_fraction(rows):
+    """Rank by Gaussian elimination over the rationals."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for r in range(rank + 1, len(m)):
+            f = m[r][col] / m[rank][col]
+            m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+def test_bareiss_rank_of_the_skip_witness():
+    # a zero entry below the pivot once left its row unscaled while the
+    # previous pivot was 1 and the new one was not; the next exact division
+    # then floored, and the rank came out as 5
+    rows = [
+        [-1, 1, 0, 0, -1, 0, 0],
+        [-1, 0, 1, -1, -1, 1, 0],
+        [-1, 0, 1, 0, -1, 0, 0],
+        [1, -1, 0, 0, 1, 1, 0],
+        [0, 1, -1, 0, 0, 0, 0],
+        [1, 1, 0, 0, 1, 0, -1],
+        [-1, 0, -1, 0, -1, 0, 0],
+    ]
+    assert _rank_fraction(rows) == 6
+    assert _rank_bareiss(rows) == 6
+
+
+def test_bareiss_rank_against_fraction_elimination():
+    rng = random.Random(20261018)
+    for _ in range(3000):
+        n_rows, n_cols = rng.randint(1, 8), rng.randint(1, 8)
+        rows = [[rng.randint(-3, 3) for _ in range(n_cols)] for _ in range(n_rows)]
+        assert _rank_bareiss(rows) == _rank_fraction(rows), rows
 
 
 def test_simple_module_endomorphisms(lambda3):

@@ -235,3 +235,36 @@ def test_string_axioms_against_run_search(name):
         walks += 1
         strings += expected
     assert 0 < strings < walks
+
+
+def _pair_form(q, letters):
+    return tuple((q.arrow_index[l.arrow], l.inverse) for l in letters)
+
+
+def _reversed_inverse(letters):
+    return tuple(Letter(l.arrow, not l.inverse) for l in reversed(letters))
+
+
+def _least_rotation(q, letters):
+    """The band class of a closed walk: its least rotation over the walk and
+    its inverse, in the (arrow index, inverse) order."""
+    rotations = [x[k:] + x[:k] for x in (letters, _reversed_inverse(letters)) for k in range(len(letters))]
+    return min(rotations, key=lambda r: _pair_form(q, r))
+
+
+@pytest.mark.parametrize("name", ["lambda3", "windwheel_a12", "bongartz_e_2_1_2"])
+def test_enumerators_against_run_search(name):
+    q = load_fixture(name)
+    strings, bands = set(), set()
+    for letters in _composable_walks(q, 7):
+        if _string_by_runs(q, letters):
+            strings.add(min(letters, _reversed_inverse(letters), key=lambda x: _pair_form(q, x)))
+        if _band_by_powers(q, letters):
+            bands.add(_least_rotation(q, letters))
+    got = enumerate_strings(q, 7)
+    assert [w.basepoint for w in got if not w.letters] == list(q.vertices)
+    assert [w.letters for w in got if w.letters] == sorted(strings, key=lambda x: (len(x), _pair_form(q, x)))
+    all_bands = [b.representative.letters for b in enumerate_bands(q, 7, minimal_only=False)]
+    assert sorted(all_bands) == sorted(bands)
+    once = [b for b in bands if len(set(b)) == len(b)]
+    assert sorted(b.representative.letters for b in enumerate_bands(q, 7)) == sorted(once)
