@@ -10,6 +10,7 @@ from typing import Optional
 from .quiver import (
     BoundQuiver,
     QuiverError,
+    _memo,
     is_finite_dimensional,
     nodes,
     nonzero_paths,
@@ -28,7 +29,10 @@ from .words import (
     BandClass,
     Letter,
     StringWord,
-    _letter_ends,
+    _code_ends,
+    _code_letters,
+    _codes,
+    _steps,
     band_exists,
     enumerate_bands,
     is_string,
@@ -43,7 +47,7 @@ NODY = "Nody"
 OTHER = "Other"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClassLabel:
     value: str
     detail: dict = field(default_factory=dict)
@@ -76,39 +80,23 @@ def _is_serial(w: StringWord) -> bool:
 # -- cycle tracing helpers ---------------------------------------------------------
 
 
-def _other_incidences(q: BoundQuiver, v: str, used: Letter) -> list[Letter]:
-    """All letters leaving ``v`` other than backtracking on ``used``."""
-    out = []
-    for a in q.outgoing(v):
-        out.append(Letter(a.name, False))
-    for a in q.incoming(v):
-        out.append(Letter(a.name, True))
-    back = used.inv()
-    result, skipped = [], False
-    for l in out:
-        if l == back and not skipped:
-            skipped = True
-            continue
-        result.append(l)
-    return result
-
-
 def _trace_walk(q: BoundQuiver, x: str, first: Letter, y: str) -> StringWord | None:
     """The unique string from ``x`` starting with ``first`` that runs through
     2-vertices until it reaches ``y``, or None if there is none."""
-    letters = [first]
-    cur = _letter_ends(q, first)[1]
+    succ, ends = _steps(q).succ, _code_ends(q)
+    c = list(_codes(q, (first,)))
+    cur = ends[c[0]]
     seen = {x}
     while cur != y:
         if cur in seen or q.degree(cur) != 2:
             return None
         seen.add(cur)
-        nxt = _other_incidences(q, cur, letters[-1])
-        if len(nxt) != 1:
-            return None
-        letters.append(nxt[0])
-        cur = _letter_ends(q, nxt[0])[1]
-    w = StringWord(q, tuple(letters))
+        # the one letter leaving a 2-vertex that does not undo the last (S1)
+        (nxt,) = succ[c[-1]]
+        c.append(nxt)
+        cur = ends[nxt]
+    letters = _code_letters(q)
+    w = StringWord(q, tuple(letters[k] for k in c))
     return w if is_string(w) else None
 
 
@@ -251,6 +239,7 @@ def _try_wind_wheel(q: BoundQuiver) -> ClassLabel | None:
     return ClassLabel(WIND_WHEEL, detail)
 
 
+@_memo
 def classify_node_free(q: BoundQuiver) -> ClassLabel:
     """Recognize hereditary cycles, (generalized) barbells and wind wheels
     among connected node-free string algebras."""
@@ -276,6 +265,7 @@ def classify_node_free(q: BoundQuiver) -> ClassLabel:
     return ClassLabel(OTHER)
 
 
+@_memo
 def classify_mri_sb(q: BoundQuiver) -> ClassLabel:
     """Classification of minimal representation-infinite special biserial
     algebras: hereditary cycle, barbell with non-serial bar, wind wheel, or

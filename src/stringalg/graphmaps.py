@@ -75,24 +75,19 @@ def _bounds(c: tuple[int, ...], inverse_before: int) -> tuple[list[int], list[in
     return lo, hi
 
 
-def _quotient_splits(c: tuple[int, ...]) -> list[tuple[int, int]]:
-    lo, hi = _bounds(c, 1)
-    return [(i, j) for i in lo for j in hi if i <= j]
-
-
-def _submodule_splits(c: tuple[int, ...]) -> list[tuple[int, int]]:
-    lo, hi = _bounds(c, 0)
+def _splits(c: tuple[int, ...], inverse_before: int) -> list[tuple[int, int]]:
+    lo, hi = _bounds(c, inverse_before)
     return [(i, j) for i in lo for j in hi if i <= j]
 
 
 def quotient_factorizations(u: StringWord) -> list[Factorization]:
     """All factorizations inducing quotient maps M(u) ->> M(u2)."""
-    return [Factorization(u, i, j, QUOTIENT) for i, j in _quotient_splits(u.codes())]
+    return [Factorization(u, i, j, QUOTIENT) for i, j in _splits(u.codes(), 1)]
 
 
 def submodule_factorizations(u: StringWord) -> list[Factorization]:
     """All factorizations inducing inclusions M(u2) -> M(u)."""
-    return [Factorization(u, i, j, SUBMODULE) for i, j in _submodule_splits(u.codes())]
+    return [Factorization(u, i, j, SUBMODULE) for i, j in _splits(u.codes(), 0)]
 
 
 def _key_function(c: tuple[int, ...], walk: list[str]):
@@ -113,7 +108,7 @@ def _key_function(c: tuple[int, ...], walk: list[str]):
 
 
 def admissible_pairs(u: StringWord, v: StringWord) -> HomBasis:
-    """The graph-map basis of Hom(M(u), M(v)), in split order."""
+    """The graph-map basis of Hom(M(u), M(v)), in split order (both splits ascend)."""
     for w in (u, v):
         if not is_string(w):
             raise WordError(f"{w.render()} is not a string")
@@ -121,17 +116,16 @@ def admissible_pairs(u: StringWord, v: StringWord) -> HomBasis:
     key_u = _key_function(cu, u.walk_vertices())
     key_v = _key_function(cv, v.walk_vertices())
     sub_index: dict[object, list[tuple[int, int]]] = {}
-    for i, j in _submodule_splits(cv):
+    for i, j in _splits(cv, 0):
         sub_index.setdefault(key_v(i, j), []).append((i, j))
     pairs = []
-    for i, j in sorted(_quotient_splits(cu)):
-        for i2, j2 in sorted(sub_index.get(key_u(i, j), ())):
+    for i, j in _splits(cu, 1):
+        for i2, j2 in sub_index.get(key_u(i, j), ()):
             pairs.append(
                 AdmissiblePair(
                     Factorization(u, i, j, QUOTIENT), Factorization(v, i2, j2, SUBMODULE)
                 )
             )
-    pairs.sort(key=AdmissiblePair.splits)
     return HomBasis(tuple(pairs))
 
 

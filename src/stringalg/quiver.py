@@ -11,6 +11,7 @@ is the tuple ``(alpha, beta)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import wraps
 from typing import Iterator, Sequence
 
 MONOMIAL = "monomial"
@@ -96,6 +97,7 @@ class BoundQuiver:
         self._monomial_set = frozenset(self.monomials)
         self._rel_lengths = tuple(sorted({len(p) for p in self.monomials}))
         self._max_rel_len = max(self._rel_lengths, default=0)
+        self._derived: dict = {}
 
     # -- construction checks -------------------------------------------------
 
@@ -271,6 +273,20 @@ class BoundQuiver:
         )
 
 
+def _memo(fn):
+    """Compute ``fn(q)`` once per quiver, on first use, and keep it on ``q``.
+    Results are shared, so they must not be mutated; concurrent first uses
+    at worst compute a value twice."""
+
+    @wraps(fn)
+    def derived(q: BoundQuiver):
+        if fn not in q._derived:
+            q._derived[fn] = fn(q)
+        return q._derived[fn]
+
+    return derived
+
+
 # -- parsing ------------------------------------------------------------------
 
 
@@ -301,10 +317,10 @@ def parse_quiver(text: str, require_connected: bool = True) -> BoundQuiver:
                 vertices.extend(line[len("vertices:") :].split())
             elif line.startswith("arrow "):
                 body = line[len("arrow ") :]
-                if ":" not in body or "->" not in body:
+                arrow_name, colon, rest = body.partition(":")
+                src, to, tgt = rest.partition("->")
+                if not (colon and to):
                     raise ParseError("expected 'arrow <id>: <src> -> <tgt>'", lineno)
-                arrow_name, rest = body.split(":", 1)
-                src, tgt = rest.split("->", 1)
                 arrows.append(Arrow(arrow_name.strip(), src.strip(), tgt.strip()))
             elif line.startswith("rel "):
                 relations.append(Relation(MONOMIAL, tuple(line[4:].split())))
@@ -338,6 +354,7 @@ def parse_quiver(text: str, require_connected: bool = True) -> BoundQuiver:
 # -- validators ----------------------------------------------------------------
 
 
+@_memo
 def validate_special_biserial(q: BoundQuiver) -> Verdict:
     """Degree bounds plus unique non-vanishing compositions per arrow."""
     witnesses: list[str] = []
@@ -356,6 +373,7 @@ def validate_special_biserial(q: BoundQuiver) -> Verdict:
     return Verdict.from_witnesses(witnesses)
 
 
+@_memo
 def validate_string_algebra(q: BoundQuiver) -> Verdict:
     witnesses = list(validate_special_biserial(q).witnesses)
     for r in q.relations:
@@ -364,6 +382,7 @@ def validate_string_algebra(q: BoundQuiver) -> Verdict:
     return Verdict.from_witnesses(witnesses)
 
 
+@_memo
 def validate_gentle(q: BoundQuiver) -> Verdict:
     witnesses = list(validate_string_algebra(q).witnesses)
     for r in q.relations:
@@ -380,7 +399,8 @@ def validate_gentle(q: BoundQuiver) -> Verdict:
     return Verdict.from_witnesses(witnesses)
 
 
-def nodes(q: BoundQuiver) -> set[str]:
+@_memo
+def nodes(q: BoundQuiver) -> frozenset[str]:
     """Vertices that are neither sinks nor sources with all through paths zero."""
     out = set()
     for v in q.vertices:
@@ -389,7 +409,7 @@ def nodes(q: BoundQuiver) -> set[str]:
             continue
         if all(q.path_in_ideal((a.name, b.name)) for a in ins for b in outs):
             out.add(v)
-    return out
+    return frozenset(out)
 
 
 def _composition_graph(q: BoundQuiver) -> dict[tuple[str, ...], list[tuple[str, ...]]]:
@@ -419,6 +439,7 @@ def _composition_graph(q: BoundQuiver) -> dict[tuple[str, ...], list[tuple[str, 
     return graph
 
 
+@_memo
 def is_finite_dimensional(q: BoundQuiver) -> bool:
     """True iff only finitely many paths avoid the monomial relations."""
     graph = _composition_graph(q)
@@ -484,11 +505,7 @@ def quotient_by_vertex(q: BoundQuiver, vertex: str, name: str | None = None) -> 
     """Kill one vertex together with all incident arrows."""
     if vertex not in q.vertex_index:
         raise QuiverError(f"no vertex {vertex!r} in {q.name!r}")
-    vs = [v for v in q.vertices if v != vertex]
-    ar = [a for a in q.arrows if vertex not in (a.src, a.tgt)]
-    keep = {a.name for a in ar}
-    rel = [r for r in q.relations if all(x in keep for x in r.arrows())]
-    return BoundQuiver(name or f"{q.name}/{vertex}", vs, ar, rel)
+    return q.restrict(set(q.vertices) - {vertex}, name or f"{q.name}/{vertex}")
 
 
 def quotient_by_path(q: BoundQuiver, path: Sequence[str], name: str | None = None) -> BoundQuiver:

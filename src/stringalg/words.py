@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .quiver import BoundQuiver, QuiverError
+from .quiver import BoundQuiver, QuiverError, _memo
 
 
 class Letter(NamedTuple):
@@ -192,28 +192,9 @@ class _Steps(NamedTuple):
     lengths: tuple[int, ...]
 
 
-# Step tables of a few recent quivers, by identity.  Hom and brick tests
-# check many words of one quiver, while a census keeps hundreds of parsed
-# quivers alive, so a table stored on every quiver would only cost memory.
-# An entry holds its quiver, so its id stays unique; a full memo is cleared,
-# which is safe under concurrent use (at worst a table is built twice).
-_STEPS_MEMO: dict[int, tuple[BoundQuiver, _Steps]] = {}
-_STEPS_MEMO_SIZE = 8
-
-
+@_memo
 def _steps(q: BoundQuiver) -> _Steps:
     """The step table of ``q``."""
-    hit = _STEPS_MEMO.get(id(q))
-    if hit is not None:
-        return hit[1]
-    steps = _build_steps(q)
-    if len(_STEPS_MEMO) >= _STEPS_MEMO_SIZE:
-        _STEPS_MEMO.clear()
-    _STEPS_MEMO[id(q)] = (q, steps)
-    return steps
-
-
-def _build_steps(q: BoundQuiver) -> _Steps:
     index = q.arrow_index
     leave = {
         v: [2 * index[b.name] for b in q.outgoing(v)] + [2 * index[b.name] + 1 for b in q.incoming(v)]
@@ -409,6 +390,17 @@ def enumerate_bands(
     the unrestricted (potentially much larger) enumeration.  With
     ``find_one`` the search stops at the first band found.
     """
+    if max_len is None and minimal_only and not find_one:
+        return list(_default_bands(q))
+    return _bands(q, max_len, find_one, minimal_only)
+
+
+@_memo
+def _default_bands(q: BoundQuiver) -> tuple[BandClass, ...]:
+    return tuple(_bands(q, None, False, True))
+
+
+def _bands(q: BoundQuiver, max_len: int | None, find_one: bool, minimal_only: bool):
     if max_len is None:
         max_len = 2 * len(q.arrows)
     if max_len < 0:
@@ -435,7 +427,14 @@ def band_exists(q: BoundQuiver, bound: int | None = None) -> bool:
     """Rep-infiniteness test: a band exists iff one of length at most
     ``2 |Q1|`` does (a minimal band supports each arrow at most once per
     direction)."""
-    return bool(enumerate_bands(q, bound, find_one=True))
+    if bound is None:
+        return _band_exists(q)
+    return bool(_bands(q, bound, True, True))
+
+
+@_memo
+def _band_exists(q: BoundQuiver) -> bool:
+    return bool(_bands(q, None, True, True))
 
 
 # -- string modules -------------------------------------------------------------

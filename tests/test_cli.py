@@ -169,8 +169,12 @@ def test_bad_arguments_are_input_errors(argv, message, capsys):
 
 @pytest.mark.parametrize(
     "content",
-    [None, "quiver caf\xe9\nvertices: x\n".encode("latin-1")],
-    ids=["directory", "not-utf8"],
+    [
+        None,
+        "quiver caf\xe9\nvertices: x\n".encode("latin-1"),
+        b"quiver bad\nvertices: a b\narrow a -> b: x\n",
+    ],
+    ids=["directory", "not-utf8", "colon-after-arrow"],
 )
 def test_unreadable_input_is_an_input_error(content, tmp_path, capsys):
     path = tmp_path

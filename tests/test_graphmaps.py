@@ -205,3 +205,16 @@ def test_canonical_band_is_the_least_rotation(corpus):
                     ]
                     least = min(rotations, key=lambda r: _pair_key(q, r))
                     assert canonical_band(w).representative.letters == least, (q.name, w.render())
+
+
+def test_admissible_pairs_come_out_in_split_order(corpus):
+    # admissible_pairs does not sort: the quotient and submodule splits are
+    # generated in ascending order, so the pairs' splits strictly increase
+    count = 0
+    for name in ("lambda2", "loops_barbell", "windwheel_a12", "lambda4"):
+        ws = enumerate_strings(corpus[name], 5)
+        for u, v in itertools.product(ws, ws):
+            splits = [p.splits() for p in admissible_pairs(u, v).pairs]
+            assert all(a < b for a, b in zip(splits, splits[1:])), (u, v)
+            count += 1
+    assert count == 12113

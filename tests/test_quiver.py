@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from stringalg.quiver import (
     Arrow,
@@ -47,6 +48,30 @@ def test_parse_rejects_duplicates_and_dangling():
         parse_quiver("quiver d\nvertices: 1 1\n")
     with pytest.raises(ParseError):
         parse_quiver("quiver d\nvertices: 1\narrow a: 1 -> 2\n")
+
+
+def test_parse_rejects_colon_after_arrow():
+    text = "quiver bad\nvertices: a b\narrow a -> b: x\n"
+    with pytest.raises(ParseError, match="^line 3: expected 'arrow"):
+        parse_quiver(text)
+
+
+_DIRECTIVES = ("quiver ", "vertices:", "arrow ", "rel ", "comrel ", "")
+_TOKENS = ("quiver", "vertices:", "arrow", "rel", "a", "b", "x", ":", "->", "=", "#", "")
+_LINE = st.tuples(
+    st.sampled_from(_DIRECTIVES),
+    st.lists(st.tuples(st.sampled_from(_TOKENS), st.sampled_from(("", " "))), max_size=6),
+).map(lambda line: line[0] + "".join(token + gap for token, gap in line[1]))
+
+
+@settings(max_examples=300, derandomize=True)
+@given(st.lists(_LINE, max_size=8).map("\n".join))
+@example("quiver q\nvertices: a b\narrow a -> b: x\n")
+def test_any_token_text_parses_or_raises_parse_error(text):
+    try:
+        parse_quiver(text)
+    except ParseError:
+        pass
 
 
 def test_parse_serialize_round_trip(corpus):
