@@ -12,10 +12,12 @@ from .words import (
     BandClass,
     StringWord,
     _code_ends,
+    _extend,
+    _inverse_codes,
+    _steps,
     _walk,
     canonical_band,
     enumerate_bands,
-    enumerate_strings,
     string_module,
 )
 
@@ -59,16 +61,105 @@ def brick_census(q: BoundQuiver, max_len: int, window_lo: int | None = None) -> 
     if window_lo is None:
         longest = max((b.length() for b in bands), default=0)
         window_lo = min(2 * longest, max_len) if longest else max_len
-    per_length: dict[int, tuple[int, int]] = {l: (0, 0) for l in range(max_len + 1)}
-    ends = _code_ends(q)
-    for w in enumerate_strings(q, max_len):
-        c = w.codes()
-        # a lazy word's module is simple, hence a brick
-        brick = not c or _is_brick_codes(c, _walk(ends, c))
-        s, b = per_length[len(c)]
-        per_length[len(c)] = (s + 1, b + brick)
+    strings, bricks = _census_counts(q, max_len)
+    per_length = {l: (strings[l], bricks[l]) for l in range(max_len + 1)}
     stabilized = all(per_length[l][1] == 0 for l in range(window_lo + 1, max_len + 1))
     return CensusReport(per_length, bands, stabilized, max_len, window_lo)
+
+
+def _census_counts(q: BoundQuiver, max_len: int) -> tuple[list[int], list[int]]:
+    """Canonical strings and bricks of each length up to ``max_len``.
+
+    One depth-first walk over the code walks of both orientations, as in
+    ``enumerate_strings``; a string is counted when it is the smaller of
+    itself and its inverse.  Each entry carries the state of its string
+    ``c`` of length ``n``:
+
+    - ``suf[i]``, the trie node of the suffix ``c[i:]`` for ``i = 0..n``
+      (``suf[n]`` is the root of the end vertex).  The trie, one per
+      census, maps ``(node, code)`` to the node of the word one code
+      longer; a node's key is the class id of its word up to inversion,
+      and a root's key is its vertex, the key of a lazy middle;
+    - ``qs`` and ``ss``, the positions ``0 < i <= n`` where a quotient or a
+      submodule middle may start (after an inverse or a direct code);
+    - ``qi`` and ``si``, the keys of the quotient and submodule middles
+      that end before ``n``: shared sets, never mutated.
+
+    Extending ``c`` by ``y`` turns the middles ending at ``n`` into inner
+    middles of ``c + (y,)``: quotient ones if ``y`` is direct, submodule
+    ones if it is inverse.  A string is a brick iff no quotient middle
+    other than the full one has the key of a submodule middle other than
+    the full one, the test of ``graphmaps._is_brick_codes``.  ``qi`` and
+    ``si`` only grow down the tree, so once they meet, the string and its
+    whole subtree are non-bricks, and the subtree is counted without keys.
+    """
+    strings = [0] * (max_len + 1)
+    bricks = [0] * (max_len + 1)
+    strings[0] = bricks[0] = len(q.vertices)  # lazy modules are simple
+    if not max_len:
+        return strings, bricks
+    steps = _steps(q)
+    width = 2 * len(q.arrows)
+    # node k has handle k * width, so (node, code) is the int handle + code;
+    # nodes 0..|Q0|-1 are the roots, keyed by their vertex index
+    root = [q.vertex_index[v] * width for v in _code_ends(q)]  # at each code's end
+    child: dict[int, int] = {}
+    get = child.get
+    key = list(range(len(q.vertices)))
+    classes: dict[tuple[int, ...], int] = {}  # each oriented word -> its class id
+
+    def node(word: tuple[int, ...]) -> int:
+        cid = classes.get(_inverse_codes(word))
+        if cid is None:
+            cid = len(q.vertices) + len(classes)  # grows with every new word
+        classes[word] = cid
+        key.append(cid)
+        return (len(key) - 1) * width
+
+    empty: frozenset[int] = frozenset()
+    frontier: list = [((x,), ((root[x ^ 1],), (), (), empty, empty)) for x in range(width)]
+    while frontier:
+        c, state = frontier.pop()
+        n = len(c)
+        first, inv_first = c[0], c[-1] ^ 1
+        canonical = first < inv_first or (first == inv_first and c < _inverse_codes(c))
+        strings[n] += canonical
+        leaf = n == max_len
+        if state is None or (leaf and not canonical):
+            if not leaf:  # inside a non-brick subtree
+                frontier += [(e, None) for e in _extend(steps, c)]
+            continue
+        suf, qs, ss, qi, si = state
+        y = c[-1]
+        t = [get(h + y) for h in suf]
+        if leaf:
+            t[0] = 0  # the full word is a middle of no counted string
+        if None in t:
+            for i, h in enumerate(suf):
+                if t[i] is None:
+                    t[i] = child[h + y] = node(c[i:])
+        t.append(root[y])
+        # the middles ending at n - 1, (0, n - 1) among them, are now inner
+        if y & 1:
+            new = {key[suf[i] // width] for i in ss}
+            new.add(key[suf[0] // width])
+            dead = not qi.isdisjoint(new)
+            si = si | new
+            qs += (n,)
+        else:
+            new = {key[suf[i] // width] for i in qs}
+            new.add(key[suf[0] // width])
+            dead = not si.isdisjoint(new)
+            qi = qi | new
+            ss += (n,)
+        if canonical and not dead:
+            qe = {key[t[i] // width] for i in qs}
+            se = {key[t[i] // width] for i in ss}
+            bricks[n] += qe.isdisjoint(se) and qe.isdisjoint(si) and se.isdisjoint(qi)
+        if not leaf:
+            state = None if dead else (t, qs, ss, qi, si)
+            frontier += [(e, state) for e in _extend(steps, c)]
+    return strings, bricks
 
 
 @dataclass

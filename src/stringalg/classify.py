@@ -91,7 +91,10 @@ def _trace_walk(q: BoundQuiver, x: str, first: Letter, y: str) -> StringWord | N
         if cur in seen or q.degree(cur) != 2:
             return None
         seen.add(cur)
-        # the one letter leaving a 2-vertex that does not undo the last (S1)
+        # the one letter leaving a 2-vertex that does not undo the last (S1),
+        # unless it closes a relation of length 2 with the last (S2)
+        if not succ[c[-1]]:
+            return None
         (nxt,) = succ[c[-1]]
         c.append(nxt)
         cur = ends[nxt]

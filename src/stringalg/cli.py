@@ -9,6 +9,7 @@ sha256 of the input text and the tool version; reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -291,7 +292,9 @@ def cmd_fixtures(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing never mutates it."""
     p = argparse.ArgumentParser(
         prog="stringalg",
         description="string algebra combinatorics and tau-tilting finiteness",

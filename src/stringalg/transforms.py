@@ -310,8 +310,12 @@ def fully_reduce(a: BoundQuiver) -> list[tuple[BoundQuiver, TransformTrace]]:
 
     outputs: list[tuple[BoundQuiver, TransformTrace]] = []
     seen_states: set[tuple] = set()
+    pushed: set[tuple] = set()
 
     def push(q: BoundQuiver, trace: TransformTrace, queue: list) -> None:
+        if q.structure_key() in pushed:
+            return  # an equal quiver's components are in seen_states already
+        pushed.add(q.structure_key())
         comps, t = trim(q)
         for comp in comps:
             if not band_exists(comp):

@@ -181,10 +181,11 @@ class _Steps(NamedTuple):
 
     ``succ[x]`` lists the codes that may follow code ``x``: the letters that
     start where ``x`` ends, outgoing arrows direct first, then incoming
-    arrows inverse, without ``x ^ 1``, which would undo ``x`` (S1).
-    ``forbidden`` holds each monomial relation twice, as its direct codes
-    and as their inverse codes, the way an inverse run spells it (S2);
-    ``lengths`` are the relation lengths, ascending.
+    arrows inverse, without ``x ^ 1``, which would undo ``x`` (S1), and
+    without the codes that close a relation of length 2 with ``x`` (S2).
+    ``forbidden`` holds each other monomial relation twice, as its direct
+    codes and as their inverse codes, the way an inverse run spells it
+    (S2); ``lengths`` are their lengths, ascending.
     """
 
     succ: tuple[tuple[int, ...], ...]
@@ -200,15 +201,16 @@ def _steps(q: BoundQuiver) -> _Steps:
         v: [2 * index[b.name] for b in q.outgoing(v)] + [2 * index[b.name] + 1 for b in q.incoming(v)]
         for v in q.vertices
     }
-    succ = []
-    for i, a in enumerate(q.arrows):
-        succ.append(tuple(y for y in leave[a.tgt] if y != 2 * i + 1))
-        succ.append(tuple(y for y in leave[a.src] if y != 2 * i))
     forbidden = set()
     for path in q.monomials:
         d = tuple(2 * index[x] for x in path)
         forbidden.update((d, _inverse_codes(d)))
-    return _Steps(tuple(succ), frozenset(forbidden), q._rel_lengths)
+    succ = []
+    for i, a in enumerate(q.arrows):
+        for x, v in ((2 * i, a.tgt), (2 * i + 1, a.src)):
+            succ.append(tuple(y for y in leave[v] if y != x ^ 1 and (x, y) not in forbidden))
+    lengths = tuple(g for g in q._rel_lengths if g != 2)
+    return _Steps(tuple(succ), frozenset(w for w in forbidden if len(w) != 2), lengths)
 
 
 def _step_ok(steps: _Steps, c: tuple[int, ...], k: int) -> bool:
@@ -233,8 +235,11 @@ def _step_ok(steps: _Steps, c: tuple[int, ...], k: int) -> bool:
 
 def _extend(steps: _Steps, c: tuple[int, ...]) -> list[tuple[int, ...]]:
     """The strings one code longer than the string ``c``, in ``succ`` order."""
+    grown = [c + (y,) for y in steps.succ[c[-1]]]
+    if not steps.lengths:  # every relation has length 2: ``succ`` is the rule
+        return grown
     k = len(c)
-    return [e for e in (c + (y,) for y in steps.succ[c[-1]]) if _step_ok(steps, e, k)]
+    return [e for e in grown if _step_ok(steps, e, k)]
 
 
 def _code_letters(q: BoundQuiver) -> tuple[Letter, ...]:
@@ -390,7 +395,9 @@ def enumerate_bands(
     the unrestricted (potentially much larger) enumeration.  With
     ``find_one`` the search stops at the first band found.
     """
-    if max_len is None and minimal_only and not find_one:
+    # a minimal band uses each code at most once, so it is never longer
+    # than 2 |Q1|: any larger bound gives the default list
+    if minimal_only and not find_one and (max_len is None or max_len >= 2 * len(q.arrows)):
         return list(_default_bands(q))
     return _bands(q, max_len, find_one, minimal_only)
 

@@ -9,7 +9,7 @@ from stringalg.census import (
     unique_brick_band_scan,
 )
 from stringalg.classify import classify_node_free
-from stringalg.fixtures import load_fixture
+from stringalg.fixtures import bongartz_e, load_fixture
 from stringalg.quiver import QuiverError, parse_quiver, validate_string_algebra
 from stringalg.words import canonical_band, word_from_text
 
@@ -131,3 +131,44 @@ def test_census_brick_counts_agree_with_public_is_brick(corpus):
         assert {l: list(v) for l, v in got.items()} == expected, name
         checked += 1
     assert checked == 25
+
+
+def _public_counts(q, max_len):
+    from stringalg.graphmaps import is_brick
+    from stringalg.words import enumerate_strings
+
+    counts = {l: [0, 0] for l in range(max_len + 1)}
+    for w in enumerate_strings(q, max_len):
+        counts[len(w)][0] += 1
+        counts[len(w)][1] += is_brick(w)
+    return counts
+
+
+def test_census_kernel_agrees_with_public_is_brick_to_length_9(corpus):
+    checked = 0
+    for name, q in corpus.items():
+        if not validate_string_algebra(q).holds:
+            continue
+        got = {l: list(v) for l, v in brick_census(q, 9).per_length.items()}
+        assert got == _public_counts(q, 9), name
+        checked += 1
+    assert checked == 25
+
+
+@pytest.mark.parametrize(
+    "build, max_len",
+    [
+        (lambda: bongartz_e(2, 1, 2), 21),
+        (lambda: bongartz_e(1, 1, 1), 12),
+        (lambda: load_fixture("double_a4"), 30),
+        (lambda: load_fixture("windwheel_a12"), 39),
+    ],
+    ids=["bongartz_e_2_1_2", "bongartz_e_1_1_1", "double_a4", "windwheel_a12"],
+)
+def test_census_kernel_agrees_with_public_is_brick_on_tau_windows(build, max_len):
+    # the windows of tau's census witness on these inputs
+    q = build()
+    got = {l: list(v) for l, v in brick_census(q, max_len).per_length.items()}
+    expected = _public_counts(q, max_len)
+    assert got == expected
+    assert sum(b for _, b in expected.values()) > len(q.vertices)  # not only lazy bricks

@@ -1,5 +1,6 @@
 """Data derived from a quiver is computed once per quiver object, and what
-the memo hands out cannot change what it hands out next."""
+the memo hands out cannot change what it hands out next.  Equal reductions
+are trimmed once, and the CLI parser is built once per process."""
 
 import sys
 import threading
@@ -54,6 +55,32 @@ def test_derived_data_is_computed_once_per_quiver(argv, monkeypatch, capsys):
     capsys.readouterr()
     assert {name for name, _ in runs} >= {"_default_bands", "classify_mri_sb", "_steps"}
     assert {key: n for key, n in runs.items() if n > 1} == {}
+
+
+def test_fully_reduce_trims_each_distinct_reduction_once(big_gentle, monkeypatch):
+    # two bands of big_gentle.t3.c1 reduce to equal quivers
+    trims: dict[tuple, int] = {}
+    trim = transforms.trim
+
+    def counting(q):
+        trims[q.structure_key()] = trims.get(q.structure_key(), 0) + 1
+        return trim(q)
+
+    monkeypatch.setattr(transforms, "trim", counting)
+    transforms.fully_reduce(big_gentle.rename("fresh"))
+    assert len(trims) > 1
+    assert {key: n for key, n in trims.items() if n > 1} == {}
+
+
+def test_cli_parser_is_built_once(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    # the shared parser still rejects bad arguments with exit 2 after a good run
+    assert main(["validate", "fixture:lambda3"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["census", "fixture:lambda3", "--max-len", "x"])
+    assert exc.value.code == 2
+    assert main(["validate", "fixture:lambda2"]) == 0
+    capsys.readouterr()
 
 
 def _outcomes(q):

@@ -115,6 +115,16 @@ def test_band_existence(corpus, windwheel):
     assert len(enumerate_bands(windwheel, 2 * len(windwheel.arrows))) == 1
 
 
+def test_bands_past_twice_the_arrows_are_the_default_list(corpus):
+    from stringalg.words import _bands
+
+    for name, q in corpus.items():
+        default = enumerate_bands(q)
+        for max_len in range(2 * len(q.arrows), 2 * len(q.arrows) + 4):
+            assert enumerate_bands(q, max_len) == default, (name, max_len)
+            assert _bands(q, max_len, False, True) == default, (name, max_len)
+
+
 def test_enumerate_bands_respects_its_bound():
     q = parse_quiver("quiver loop\nvertices: x\narrow a: x -> x\n")
     with pytest.raises(QuiverError, match="max_len must be at least 0"):
