@@ -278,3 +278,87 @@ def test_enumerators_against_run_search(name):
     assert sorted(all_bands) == sorted(bands)
     once = [b for b in bands if len(set(b)) == len(b)]
     assert sorted(b.representative.letters for b in enumerate_bands(q, 7)) == sorted(once)
+
+
+# -- word operations against a reference built from letters ---------------------
+
+
+def _ref_walk(q, letters):
+    return [_ends(q, letters[0])[0]] + [_ends(q, l)[1] for l in letters]
+
+
+def _ref_render(letters):
+    return " ".join(l.arrow + ("-" if l.inverse else "") for l in reversed(letters))
+
+
+def _ref_parse(text):
+    return tuple(Letter(t.rstrip("-"), t.endswith("-")) for t in reversed(text.split()))
+
+
+def _ref_sort_key(q, letters):
+    return (len(letters), tuple(2 * q.arrow_index[l.arrow] + l.inverse for l in letters), -1)
+
+
+def _check_word(q, w, steps):
+    """Every walk operation of ``w`` against the same operation on letters;
+    ``steps`` pairs each letter with its one-letter word."""
+    letters = _ref_parse(w.render())
+    assert w.letters == letters
+    assert _ref_render(letters) == w.render()
+    assert word_from_text(q, w.render()) == w
+    n = len(letters)
+    walk = _ref_walk(q, letters)
+    assert w.walk_vertices() == walk
+    assert (w.source, w.target) == (walk[0], walk[-1])
+    assert w.supported_arrows() == {l.arrow for l in letters}
+    direct = {l.arrow for l in letters if not l.inverse}
+    assert w.double_supported_arrows() == direct & {l.arrow for l in letters if l.inverse}
+    assert w.sort_key() == _ref_sort_key(q, letters)
+    inv = w.inverse()
+    assert inv.letters == _reversed_inverse(letters)
+    assert (inv.source, inv.target) == (walk[-1], walk[0])
+    for m in (1, 2, 3):
+        assert w.power(m).letters == letters * m
+    for k in range(-1, n + 1):
+        assert w.rotate(k).letters == letters[k % n :] + letters[: k % n]
+    for i in range(n + 1):
+        lazy = w.slice(i, i)
+        assert (lazy.letters, lazy.basepoint, lazy.sort_key()) == ((), walk[i], (0, (), q.vertex_index[walk[i]]))
+        assert lazy.walk_vertices() == [walk[i]]
+        for j in range(i + 1, n + 1):
+            assert w.slice(i, j).letters == letters[i:j]
+        head, tail = w.slice(0, i), w.slice(i, n)
+        assert (head.walk_vertices(), tail.walk_vertices()) == (walk[: i + 1], walk[i:])
+        assert head.concat(tail) == w
+    assert w.concat(lazy_word(q, walk[-1])) == w
+    for l, step in steps:
+        try:
+            assert w.concat(step).letters == letters + (l,)
+        except WordError:
+            assert _ends(q, l)[0] != walk[-1]
+        else:
+            assert _ends(q, l)[0] == walk[-1]
+
+
+@pytest.mark.parametrize("name", ["lambda2", "loops_barbell", "windwheel_a12", "big_gentle"])
+def test_word_operations_against_letter_reference(name, corpus):
+    q = corpus[name]
+    letters = [Letter(a.name, inv) for a in q.arrows for inv in (False, True)]
+    steps = [(l, word_from_text(q, _ref_render((l,)))) for l in letters]
+    checked = 0
+    for w in enumerate_strings(q, 6):
+        if not len(w):
+            assert (w.letters, w.walk_vertices(), w.render()) == ((), [w.basepoint], f"e({w.basepoint})")
+            assert (w.inverse(), w.power(2), w.rotate(1)) == (w, w, w)
+            assert word_from_text(q, w.render()) == w
+            continue
+        _check_word(q, w, steps)
+        _check_word(q, w.inverse(), steps)
+        checked += 1
+    for band in enumerate_bands(q):
+        rep = band.representative
+        for base in (rep, rep.inverse()):
+            for k in range(len(rep)):
+                _check_word(q, base.rotate(k), steps)
+                checked += 1
+    assert checked > len(q.arrows)
