@@ -5,17 +5,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphmaps import _is_brick_codes, is_brick
+from .graphmaps import _is_brick_string, is_brick
 from .oracle import end_dim_linear
 from .quiver import BoundQuiver, QuiverError, validate_string_algebra
 from .words import (
     BandClass,
     StringWord,
-    _code_ends,
     _extend,
     _inverse_codes,
+    _is_canonical,
     _steps,
-    _walk,
     canonical_band,
     enumerate_bands,
     string_module,
@@ -89,7 +88,7 @@ def _census_counts(q: BoundQuiver, max_len: int) -> tuple[list[int], list[int]]:
     middles of ``c + (y,)``: quotient ones if ``y`` is direct, submodule
     ones if it is inverse.  A string is a brick iff no quotient middle
     other than the full one has the key of a submodule middle other than
-    the full one, the test of ``graphmaps._is_brick_codes``.  ``qi`` and
+    the full one, the test of ``graphmaps._is_brick_string``.  ``qi`` and
     ``si`` only grow down the tree, so once they meet, the string and its
     whole subtree are non-bricks, and the subtree is counted without keys.
     """
@@ -102,7 +101,7 @@ def _census_counts(q: BoundQuiver, max_len: int) -> tuple[list[int], list[int]]:
     width = 2 * len(q.arrows)
     # node k has handle k * width, so (node, code) is the int handle + code;
     # nodes 0..|Q0|-1 are the roots, keyed by their vertex index
-    root = [q.vertex_index[v] * width for v in _code_ends(q)]  # at each code's end
+    root = [q.vertex_index[v] * width for v in steps.ends]  # at each code's end
     child: dict[int, int] = {}
     get = child.get
     key = list(range(len(q.vertices)))
@@ -121,8 +120,7 @@ def _census_counts(q: BoundQuiver, max_len: int) -> tuple[list[int], list[int]]:
     while frontier:
         c, state = frontier.pop()
         n = len(c)
-        first, inv_first = c[0], c[-1] ^ 1
-        canonical = first < inv_first or (first == inv_first and c < _inverse_codes(c))
+        canonical = _is_canonical(c)
         strings[n] += canonical
         leaf = n == max_len
         if state is None or (leaf and not canonical):
@@ -172,7 +170,7 @@ class BrickFamilyWitness:
 
 def _positive_bar_family(detail: dict) -> StringWord:
     c_l, c_r, bar = detail["c_l"], detail["c_r"], detail["bar"]
-    if not bar.letters[0].inverse:
+    if not bar.codes[0] & 1:
         return c_l.concat(bar).concat(c_r).concat(bar.inverse())
     return c_l.inverse().concat(bar).concat(c_r.inverse()).concat(bar.inverse())
 
@@ -181,10 +179,10 @@ def _zero_bar_family(detail: dict) -> StringWord:
     # rotate the composite cycle so it opens after the maximal direct prefix
     # of the non-serial side; the splice point blocks all graph maps
     c_l, c_r = detail["c_l"], detail["c_r"]
-    if all(not l.inverse for l in c_l.letters):
+    if not any(x & 1 for x in c_l.codes):
         c_l, c_r = c_r, c_l
     i = 0
-    while i < len(c_l) and not c_l.letters[i].inverse:
+    while i < len(c_l) and not c_l.codes[i] & 1:
         i += 1
     w = c_l.slice(i, len(c_l)).concat(c_r)
     if i:
@@ -235,13 +233,11 @@ def brick_rotation(b: BandClass, m_max: int) -> StringWord | None:
     representative.
     """
     rep = b.representative
-    ends = _code_ends(rep.quiver)
     for base in (rep, rep.inverse()):
-        c = base.codes()
-        for k in range(len(c)):
-            r = c[k:] + c[:k]
-            if all(_is_brick_codes(r * m, _walk(ends, r * m)) for m in range(1, m_max + 1)):
-                return base.rotate(k)
+        for k in range(len(rep)):
+            r = base.rotate(k)
+            if all(_is_brick_string(r.power(m)) for m in range(1, m_max + 1)):
+                return r
     return None
 
 

@@ -27,11 +27,7 @@ from .quiver import (
 from .transforms import fully_reduce, reduce, resolve_nodes
 from .words import (
     BandClass,
-    Letter,
     StringWord,
-    _code_ends,
-    _code_letters,
-    _codes,
     _steps,
     band_exists,
     enumerate_bands,
@@ -74,18 +70,19 @@ def _detail_json(detail: dict) -> dict:
 
 
 def _is_serial(w: StringWord) -> bool:
-    return all(not l.inverse for l in w.letters) or all(l.inverse for l in w.letters)
+    return len({x & 1 for x in w.codes}) < 2
 
 
 # -- cycle tracing helpers ---------------------------------------------------------
 
 
-def _trace_walk(q: BoundQuiver, x: str, first: Letter, y: str) -> StringWord | None:
-    """The unique string from ``x`` starting with ``first`` that runs through
-    2-vertices until it reaches ``y``, or None if there is none."""
-    succ, ends = _steps(q).succ, _code_ends(q)
-    c = list(_codes(q, (first,)))
-    cur = ends[c[0]]
+def _trace_walk(q: BoundQuiver, x: str, first: int, y: str) -> StringWord | None:
+    """The unique string from ``x`` starting with the code ``first`` that
+    runs through 2-vertices until it reaches ``y``, or None if there is none."""
+    steps = _steps(q)
+    succ, ends = steps.succ, steps.ends
+    c = [first]
+    cur = ends[first]
     seen = {x}
     while cur != y:
         if cur in seen or q.degree(cur) != 2:
@@ -98,25 +95,24 @@ def _trace_walk(q: BoundQuiver, x: str, first: Letter, y: str) -> StringWord | N
         (nxt,) = succ[c[-1]]
         c.append(nxt)
         cur = ends[nxt]
-    letters = _code_letters(q)
-    w = StringWord(q, tuple(letters[k] for k in c))
+    w = StringWord(q, tuple(c))
     return w if is_string(w) else None
 
 
 def _trace_cycle(q: BoundQuiver, x: str, out_arrow: str, in_arrow: str) -> StringWord | None:
     """Follow the unique walk from ``x`` via ``out_arrow`` through 2-vertices,
     accepting only if it returns to ``x`` along ``in_arrow`` forwards."""
-    w = _trace_walk(q, x, Letter(out_arrow, False), x)
-    return w if w is not None and w.letters[-1] == Letter(in_arrow, False) else None
+    w = _trace_walk(q, x, 2 * q.arrow_index[out_arrow], x)
+    return w if w is not None and w.codes[-1] == 2 * q.arrow_index[in_arrow] else None
 
 
 def _trace_bar(q: BoundQuiver, x: str, y: str, cycle_arrows: set[str]) -> StringWord | None:
     """The unique walk from ``x`` to ``y`` avoiding the cycle arrows."""
     start = [
-        l
-        for v_arrows, inv in ((q.outgoing(x), False), (q.incoming(x), True))
-        for l in (Letter(a.name, inv) for a in v_arrows)
-        if l.arrow not in cycle_arrows
+        2 * q.arrow_index[a.name] + inv
+        for v_arrows, inv in ((q.outgoing(x), 0), (q.incoming(x), 1))
+        for a in v_arrows
+        if a.name not in cycle_arrows
     ]
     if len(start) != 1:
         return None
@@ -136,8 +132,8 @@ def _try_barbell(q: BoundQuiver) -> ClassLabel | None:
         c_r = _trace_cycle(q, y, delta, gamma)
         if c_l is None or c_r is None:
             continue
-        la = {l.arrow for l in c_l.letters}
-        ra = {l.arrow for l in c_r.letters}
+        la = c_l.supported_arrows()
+        ra = c_r.supported_arrows()
         lv = set(c_l.walk_vertices())
         rv = set(c_r.walk_vertices())
         if la & ra:
@@ -159,7 +155,7 @@ def _try_barbell(q: BoundQuiver) -> ClassLabel | None:
         bar = _trace_bar(q, x, y, la | ra)
         if bar is None:
             continue
-        ba = {l.arrow for l in bar.letters}
+        ba = bar.supported_arrows()
         bv = set(bar.walk_vertices())
         if la | ra | ba != {a.name for a in q.arrows}:
             continue
@@ -227,7 +223,7 @@ def _try_wind_wheel(q: BoundQuiver) -> ClassLabel | None:
         expected.add((ins_x[0], outs_x[0]))
         expected.add((ins_y[0], outs_y[0]))
         expected.add((ins_x[0], *bar, outs_y[0]))
-        bar_words.append(StringWord(q, tuple(Letter(n, False) for n in bar)))
+        bar_words.append(StringWord(q, tuple(2 * q.arrow_index[n] for n in bar)))
     actual = {r.path1 for r in q.relations}
     if actual != expected:
         return None

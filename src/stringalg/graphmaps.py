@@ -82,12 +82,12 @@ def _splits(c: tuple[int, ...], inverse_before: int) -> list[tuple[int, int]]:
 
 def quotient_factorizations(u: StringWord) -> list[Factorization]:
     """All factorizations inducing quotient maps M(u) ->> M(u2)."""
-    return [Factorization(u, i, j, QUOTIENT) for i, j in _splits(u.codes(), 1)]
+    return [Factorization(u, i, j, QUOTIENT) for i, j in _splits(u.codes, 1)]
 
 
 def submodule_factorizations(u: StringWord) -> list[Factorization]:
     """All factorizations inducing inclusions M(u2) -> M(u)."""
-    return [Factorization(u, i, j, SUBMODULE) for i, j in _splits(u.codes(), 0)]
+    return [Factorization(u, i, j, SUBMODULE) for i, j in _splits(u.codes, 0)]
 
 
 def _key_function(c: tuple[int, ...], walk: list[str]):
@@ -112,7 +112,7 @@ def admissible_pairs(u: StringWord, v: StringWord) -> HomBasis:
     for w in (u, v):
         if not is_string(w):
             raise WordError(f"{w.render()} is not a string")
-    cu, cv = u.codes(), v.codes()
+    cu, cv = u.codes, v.codes
     key_u = _key_function(cu, u.walk_vertices())
     key_v = _key_function(cv, v.walk_vertices())
     sub_index: dict[object, list[tuple[int, int]]] = {}
@@ -133,9 +133,8 @@ def hom_dim(u: StringWord, v: StringWord) -> int:
     return admissible_pairs(u, v).dim
 
 
-def _is_brick_codes(c: tuple[int, ...], walk: list[str]) -> bool:
-    """The brick test for a word already known to be a string, given by its
-    codes and walk vertices.
+def _is_brick_string(w: StringWord) -> bool:
+    """The brick test for a word already known to be a string.
 
     The split ``(0, n)`` is the only middle of full length ``n``, so the
     trivial pair is the only pair with a middle of length ``n``; the string
@@ -143,7 +142,8 @@ def _is_brick_codes(c: tuple[int, ...], walk: list[str]) -> bool:
     submodule middle of the same length.  Lengths are scanned upwards, and
     the scan stops at the first match.
     """
-    key = _key_function(c, walk)
+    c = w.codes
+    key = _key_function(c, w.walk_vertices())
     n = len(c)
     sub_lo, sub_hi = _bounds(c, 0)
     quo_lo, quo_hi = _bounds(c, 1)
@@ -161,4 +161,4 @@ def is_brick(w: StringWord) -> bool:
     """One-dimensional endomorphism space: only the trivial pair survives."""
     if not is_string(w):
         raise WordError(f"{w.render()} is not a string")
-    return _is_brick_codes(w.codes(), w.walk_vertices())
+    return _is_brick_string(w)

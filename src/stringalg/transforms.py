@@ -16,7 +16,16 @@ from .quiver import (
     validate_gentle,
     validate_string_algebra,
 )
-from .words import BandClass, StringWord, band_exists, enumerate_bands, is_band, is_string
+from .words import (
+    BandClass,
+    StringWord,
+    WordError,
+    band_exists,
+    enumerate_bands,
+    is_band,
+    is_string,
+    word_from_text,
+)
 
 
 @dataclass
@@ -111,7 +120,7 @@ def glue(q: BoundQuiver, sink: str, source: str) -> BoundQuiver:
 
 
 def _signs(w: StringWord) -> list[int]:
-    return [-1 if l.inverse else 1 for l in w.letters]
+    return [-1 if x & 1 else 1 for x in w.codes]
 
 
 def _distinct_walk(w: StringWord) -> bool:
@@ -268,10 +277,16 @@ def trim(a: BoundQuiver):
 
 
 def _check_band(q: BoundQuiver, band: BandClass) -> StringWord:
+    """The band's representative on ``q``, read by arrow name if it comes
+    from a quiver with another structure."""
     w = band.representative
-    if w.quiver.structure_key() != q.structure_key():
-        w = StringWord(q, w.letters, w.basepoint)
-    if not is_band(w):
+    try:
+        if w.quiver != q:  # quivers compare by structure
+            w = word_from_text(q, band.render())
+        ok = is_band(w)
+    except WordError:
+        ok = False
+    if not ok:
         raise TransformError(f"{band.render()} is not a band of {q.name!r}")
     return w
 

@@ -1,10 +1,10 @@
 """Strings and bands over a string algebra, and their string modules.
 
 A letter is an arrow traversed forwards or backwards; a word is a sequence
-of letters in traversal order (first step first).  The printed form follows
-the right-to-left application convention: ``eps delta- gamma- beta`` is the
-walk that applies ``beta`` first, so its traversal order is the reverse of
-the printed one.
+of letters in traversal order (first step first), stored as letter codes
+``2*arrow_index + inverse``.  The printed form follows the right-to-left
+application convention: ``eps delta- gamma- beta`` is the walk that applies
+``beta`` first, so its traversal order is the reverse of the printed one.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ class Letter(NamedTuple):
     inverse: bool
 
     def inv(self) -> "Letter":
-        return Letter(self.arrow, not self.inverse)
+        return self._replace(inverse=not self.inverse)
 
     def render(self) -> str:
         return self.arrow + ("-" if self.inverse else "")
@@ -30,119 +30,114 @@ class WordError(QuiverError):
     """Raised on non-composable or otherwise malformed words."""
 
 
-def _letter_ends(q: BoundQuiver, letter: Letter) -> tuple[str, str]:
-    """(start, end) of one step of a walk."""
-    a = q.arrow_by_name[letter.arrow]
-    return (a.tgt, a.src) if letter.inverse else (a.src, a.tgt)
-
-
-def _codes(q: BoundQuiver, letters: Sequence[Letter]) -> tuple[int, ...]:
-    """Letter codes ``2*arrow_index + inverse`` in traversal order.
-
-    Code order is the (arrow index, inverse) letter order, so comparing code
-    tuples compares words of equal length.
-    """
-    index = q.arrow_index
-    return tuple(2 * index[l.arrow] + l.inverse for l in letters)
-
-
 def _inverse_codes(c: tuple[int, ...]) -> tuple[int, ...]:
     """The codes of the inverse word: reversed, each letter's direction flipped."""
     return tuple(x ^ 1 for x in reversed(c))
 
 
+def _code_text(q: BoundQuiver, x: int) -> str:
+    """The printed form of the letter with code ``x``."""
+    return q.arrows[x >> 1].name + ("-" if x & 1 else "")
+
+
 @dataclass(frozen=True)
 class StringWord:
-    """A reduced walk satisfying (S1)/(S2); empty words carry a basepoint."""
+    """A reduced walk satisfying (S1)/(S2); empty words carry a basepoint.
+
+    ``codes`` holds the letter codes ``2*arrow_index + inverse`` in
+    traversal order.  Code order is the (arrow index, inverse) letter
+    order, so comparing code tuples compares words of equal length.
+    """
 
     quiver: BoundQuiver
-    letters: tuple[Letter, ...]
+    codes: tuple[int, ...]
     basepoint: str | None = None
 
     def __post_init__(self):
-        if not self.letters and self.basepoint is None:
+        if not self.codes and self.basepoint is None:
             raise WordError("empty word needs a basepoint")
+
+    @property
+    def letters(self) -> tuple[Letter, ...]:
+        """The letters of the walk, in traversal order."""
+        arrows = self.quiver.arrows
+        return tuple(Letter(arrows[x >> 1].name, bool(x & 1)) for x in self.codes)
 
     # -- walk geometry -------------------------------------------------------
 
     @property
     def source(self) -> str:
-        if not self.letters:
+        if not self.codes:
             return self.basepoint  # type: ignore[return-value]
-        return _letter_ends(self.quiver, self.letters[0])[0]
+        return _steps(self.quiver).ends[self.codes[0] ^ 1]
 
     @property
     def target(self) -> str:
-        if not self.letters:
+        if not self.codes:
             return self.basepoint  # type: ignore[return-value]
-        return _letter_ends(self.quiver, self.letters[-1])[1]
+        return _steps(self.quiver).ends[self.codes[-1]]
 
     def __len__(self) -> int:
-        return len(self.letters)
+        return len(self.codes)
 
     def walk_vertices(self) -> list[str]:
         """The l+1 vertices visited, in traversal order."""
-        if not self.letters:
+        c = self.codes
+        if not c:
             return [self.basepoint]  # type: ignore[list-item]
-        verts = [_letter_ends(self.quiver, self.letters[0])[0]]
-        for letter in self.letters:
-            verts.append(_letter_ends(self.quiver, letter)[1])
-        return verts
+        ends = _steps(self.quiver).ends
+        return [ends[c[0] ^ 1], *map(ends.__getitem__, c)]
 
     def supported_arrows(self) -> set[str]:
-        return {l.arrow for l in self.letters}
+        arrows = self.quiver.arrows
+        return {arrows[x >> 1].name for x in self.codes}
 
     def double_supported_arrows(self) -> set[str]:
-        direct = {l.arrow for l in self.letters if not l.inverse}
-        inv = {l.arrow for l in self.letters if l.inverse}
-        return direct & inv
+        arrows = self.quiver.arrows
+        c = set(self.codes)
+        return {arrows[x >> 1].name for x in c if x & 1 and x ^ 1 in c}
 
     # -- algebra -------------------------------------------------------------
 
     def inverse(self) -> "StringWord":
-        return StringWord(
-            self.quiver, tuple(l.inv() for l in reversed(self.letters)), self.basepoint
-        )
+        return StringWord(self.quiver, _inverse_codes(self.codes), self.basepoint)
 
     def concat(self, other: "StringWord") -> "StringWord":
         """``self`` then ``other`` (traversal order)."""
         if self.target != other.source:
             raise WordError("words do not compose")
-        if not self.letters and not other.letters:
+        if not self.codes and not other.codes:
             return self
-        return StringWord(self.quiver, self.letters + other.letters)
+        return StringWord(self.quiver, self.codes + other.codes)
 
     def power(self, m: int) -> "StringWord":
-        if not self.letters:
+        if not self.codes:
             return self
-        return StringWord(self.quiver, self.letters * m)
+        return StringWord(self.quiver, self.codes * m)
 
     def rotate(self, k: int) -> "StringWord":
         """Cyclic rotation; only meaningful for closed walks."""
-        if not self.letters:
+        if not self.codes:
             return self
-        k %= len(self.letters)
-        return StringWord(self.quiver, self.letters[k:] + self.letters[:k])
+        k %= len(self.codes)
+        return StringWord(self.quiver, self.codes[k:] + self.codes[:k])
 
     def slice(self, i: int, j: int) -> "StringWord":
         if i == j:
             return StringWord(self.quiver, (), self.walk_vertices()[i])
-        return StringWord(self.quiver, self.letters[i:j])
+        return StringWord(self.quiver, self.codes[i:j])
 
     # -- canonical form -------------------------------------------------------
 
-    def codes(self) -> tuple[int, ...]:
-        return _codes(self.quiver, self.letters)
-
     def sort_key(self) -> tuple:
-        if not self.letters:
+        if not self.codes:
             return (0, (), self.quiver.vertex_index[self.basepoint])  # type: ignore[index]
-        return (len(self.letters), self.codes(), -1)
+        return (len(self.codes), self.codes, -1)
 
     def render(self) -> str:
-        if not self.letters:
+        if not self.codes:
             return f"e({self.basepoint})"
-        return " ".join(l.render() for l in reversed(self.letters))
+        return " ".join(_code_text(self.quiver, x) for x in reversed(self.codes))
 
     def __repr__(self) -> str:
         return f"<{self.render()}>"
@@ -156,17 +151,17 @@ def word_from_text(q: BoundQuiver, text: str) -> StringWord:
         if v not in q.vertex_index:
             raise WordError(f"no vertex {v!r}")
         return StringWord(q, (), v)
-    letters = []
+    codes = []
     for token in reversed(text.split()):
         inv = token.endswith("-")
         name = token[:-1] if inv else token
-        if name not in q.arrow_by_name:
+        if name not in q.arrow_index:
             raise WordError(f"no arrow {name!r}")
-        letters.append(Letter(name, inv))
-    if not letters:
+        codes.append(2 * q.arrow_index[name] + inv)
+    if not codes:
         raise WordError("empty word literal; use e(<vertex>)")
-    _check_composable(q, letters)
-    return StringWord(q, tuple(letters))
+    _check_composable(q, codes)
+    return StringWord(q, tuple(codes))
 
 
 def lazy_word(q: BoundQuiver, vertex: str) -> StringWord:
@@ -185,12 +180,14 @@ class _Steps(NamedTuple):
     without the codes that close a relation of length 2 with ``x`` (S2).
     ``forbidden`` holds each other monomial relation twice, as its direct
     codes and as their inverse codes, the way an inverse run spells it
-    (S2); ``lengths`` are their lengths, ascending.
+    (S2); ``lengths`` are their lengths, ascending.  ``ends[x]`` is the
+    vertex where code ``x`` ends; it starts at ``ends[x ^ 1]``.
     """
 
     succ: tuple[tuple[int, ...], ...]
     forbidden: frozenset[tuple[int, ...]]
     lengths: tuple[int, ...]
+    ends: tuple[str, ...]
 
 
 @_memo
@@ -210,7 +207,8 @@ def _steps(q: BoundQuiver) -> _Steps:
         for x, v in ((2 * i, a.tgt), (2 * i + 1, a.src)):
             succ.append(tuple(y for y in leave[v] if y != x ^ 1 and (x, y) not in forbidden))
     lengths = tuple(g for g in q._rel_lengths if g != 2)
-    return _Steps(tuple(succ), frozenset(w for w in forbidden if len(w) != 2), lengths)
+    ends = tuple(v for a in q.arrows for v in (a.tgt, a.src))
+    return _Steps(tuple(succ), frozenset(w for w in forbidden if len(w) != 2), lengths, ends)
 
 
 def _step_ok(steps: _Steps, c: tuple[int, ...], k: int) -> bool:
@@ -222,7 +220,7 @@ def _step_ok(steps: _Steps, c: tuple[int, ...], k: int) -> bool:
     never matches, so runs need no tracking; each relation factor of a run
     ends at exactly one code, so a walk is a string iff every code passes.
     """
-    succ, forbidden, lengths = steps
+    succ, forbidden, lengths, _ = steps
     if k and c[k] not in succ[c[k - 1]]:
         return False
     for g in lengths:
@@ -242,25 +240,11 @@ def _extend(steps: _Steps, c: tuple[int, ...]) -> list[tuple[int, ...]]:
     return [e for e in grown if _step_ok(steps, e, k)]
 
 
-def _code_letters(q: BoundQuiver) -> tuple[Letter, ...]:
-    """The letter of each code."""
-    return tuple(Letter(a.name, inv) for a in q.arrows for inv in (False, True))
-
-
-def _code_ends(q: BoundQuiver) -> tuple[str, ...]:
-    """The vertex where each code ends; code ``x`` starts at ``ends[x ^ 1]``."""
-    return tuple(v for a in q.arrows for v in (a.tgt, a.src))
-
-
-def _walk(ends: tuple[str, ...], c: tuple[int, ...]) -> list[str]:
-    """The ``len(c) + 1`` vertices a non-empty code walk visits."""
-    return [ends[c[0] ^ 1], *map(ends.__getitem__, c)]
-
-
-def _check_composable(q: BoundQuiver, letters: Sequence[Letter]) -> None:
-    for a, b in zip(letters, letters[1:]):
-        if _letter_ends(q, a)[1] != _letter_ends(q, b)[0]:
-            raise WordError(f"letters {a.render()} {b.render()} do not compose")
+def _check_composable(q: BoundQuiver, c: Sequence[int]) -> None:
+    ends = _steps(q).ends
+    for x, y in zip(c, c[1:]):
+        if ends[x] != ends[y ^ 1]:
+            raise WordError(f"letters {_code_text(q, x)} {_code_text(q, y)} do not compose")
 
 
 def is_string(w: StringWord) -> bool:
@@ -268,18 +252,30 @@ def is_string(w: StringWord) -> bool:
 
     Raises ``WordError`` if the walk is not composable.
     """
-    c = w.codes()
+    c = w.codes
     steps = _steps(w.quiver)
     if all(_step_ok(steps, c, k) for k in range(len(c))):
         return True
-    _check_composable(w.quiver, w.letters)
+    _check_composable(w.quiver, c)
     return False
+
+
+def _is_canonical(c: tuple[int, ...]) -> bool:
+    """Whether the non-empty string ``c`` is smaller than its inverse: the
+    orientation that canonical strings and the string counts keep.
+
+    The first codes decide most pairs without building the inverse.  A
+    non-empty string never equals its inverse: at odd length its middle code
+    would equal its own inverse, and at even length its two middle codes
+    would undo each other, against (S1).  So ``<`` and ``<=`` agree here.
+    """
+    first, inv_first = c[0], c[-1] ^ 1
+    return first < inv_first or (first == inv_first and c < _inverse_codes(c))
 
 
 def canonical_string(w: StringWord) -> StringWord:
     """The smaller of ``w`` and its inverse in the letter order."""
-    c = w.codes()
-    return w if c <= _inverse_codes(c) else w.inverse()
+    return w if not w.codes or _is_canonical(w.codes) else w.inverse()
 
 
 def enumerate_strings(q: BoundQuiver, max_len: int) -> list[StringWord]:
@@ -292,18 +288,13 @@ def enumerate_strings(q: BoundQuiver, max_len: int) -> list[StringWord]:
         frontier = [(x,) for x in range(2 * len(q.arrows))]
         while frontier:
             c = frontier.pop()
-            # the search meets every string and its inverse, never equal:
-            # keep the smaller, mostly decided by the first letters
-            first, inv_first = c[0], c[-1] ^ 1
-            if first < inv_first or (first == inv_first and c < _inverse_codes(c)):
+            # the search meets every string and its inverse: keep the smaller
+            if _is_canonical(c):
                 canonical.append(c)
             if len(c) < max_len:
                 frontier.extend(_extend(steps, c))
     canonical.sort(key=lambda c: (len(c), c))
-    letters = _code_letters(q)
-    return [lazy_word(q, v) for v in q.vertices] + [
-        StringWord(q, tuple(map(letters.__getitem__, c))) for c in canonical
-    ]
+    return [lazy_word(q, v) for v in q.vertices] + [StringWord(q, c) for c in canonical]
 
 
 # -- bands ---------------------------------------------------------------------
@@ -342,7 +333,7 @@ def _power_bound(q: BoundQuiver, length: int) -> int:
     return need
 
 
-def _is_band_codes(q: BoundQuiver, steps: _Steps, c: tuple[int, ...]) -> bool:
+def _is_band_walk(q: BoundQuiver, steps: _Steps, c: tuple[int, ...]) -> bool:
     """Whether the string ``c`` is a band: its power passes the rule past
     ``c`` itself (the first step there closes the walk), and ``c`` is
     primitive."""
@@ -357,29 +348,22 @@ def is_band(w: StringWord) -> bool:
     prefix-closed, so testing the highest power needed covers the rest."""
     if len(w) == 0 or w.source != w.target or not is_string(w):
         return False
-    return _is_band_codes(w.quiver, _steps(w.quiver), w.codes())
+    return _is_band_walk(w.quiver, _steps(w.quiver), w.codes)
 
 
-def _band_class(q: BoundQuiver, c: tuple[int, ...]) -> BandClass:
-    """The class of a band given by codes: its least rotation over the word
-    and its inverse."""
-    least = min(x[k:] + x[:k] for x in (c, _inverse_codes(c)) for k in range(len(c)))
-    letters = _code_letters(q)
-    return BandClass(StringWord(q, tuple(letters[x] for x in least)))
+def _least_rotation(c: tuple[int, ...]) -> tuple[int, ...]:
+    """The least rotation of ``c`` over the word and its inverse: the codes
+    of the representative of its band class."""
+    return min(x[k:] + x[:k] for x in (c, _inverse_codes(c)) for k in range(len(c)))
 
 
 def canonical_band(w: StringWord) -> BandClass:
     """Least rotation over the word and its inverse."""
-    return _band_class(w.quiver, w.codes())
+    return BandClass(StringWord(w.quiver, _least_rotation(w.codes)))
 
 
 def supports_once_per_direction(w: StringWord) -> bool:
-    seen = set()
-    for l in w.letters:
-        if l in seen:
-            return False
-        seen.add(l)
-    return True
+    return len(set(w.codes)) == len(w.codes)
 
 
 def enumerate_bands(
@@ -415,19 +399,19 @@ def _bands(q: BoundQuiver, max_len: int | None, find_one: bool, minimal_only: bo
     if max_len == 0:
         return []
     steps = _steps(q)
-    classes: dict[tuple, BandClass] = {}
+    classes = set()  # the least rotation of each class met
     frontier = [(x,) for x in range(2 * len(q.arrows))]
     while frontier:
         c = frontier.pop()
-        if _is_band_codes(q, steps, c):
-            b = _band_class(q, c)
-            classes.setdefault(b.sort_key(), b)
+        if _is_band_walk(q, steps, c):
+            classes.add(_least_rotation(c))
             if find_one:
-                return [b]
+                break
         if len(c) < max_len:
             used = set(c) if minimal_only else ()
             frontier.extend(e for e in _extend(steps, c) if e[-1] not in used)
-    return sorted(classes.values(), key=BandClass.sort_key)
+    # the order of BandClass.sort_key, which is (length, codes, -1)
+    return [BandClass(StringWord(q, c)) for c in sorted(classes, key=lambda c: (len(c), c))]
 
 
 def band_exists(q: BoundQuiver, bound: int | None = None) -> bool:
@@ -510,12 +494,13 @@ def string_module(w: StringWord) -> Representation:
     mats = {
         a.name: [[0] * dims[a.src] for _ in range(dims[a.tgt])] for a in q.arrows
     }
-    for i, letter in enumerate(w.letters):
-        if letter.inverse:
+    for i, x in enumerate(w.codes):
+        m = mats[q.arrows[x >> 1].name]
+        if x & 1:
             # the walk runs against the arrow: position i+1 maps to i
-            mats[letter.arrow][slot[i]][slot[i + 1]] = 1
+            m[slot[i]][slot[i + 1]] = 1
         else:
-            mats[letter.arrow][slot[i + 1]][slot[i]] = 1
+            m[slot[i + 1]][slot[i]] = 1
     rep = Representation(q, dims, mats)
     if not rep.relations_hold():
         raise WordError(f"string module of {w.render()} violates a relation")

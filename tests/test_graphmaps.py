@@ -156,7 +156,7 @@ def test_middle_keys_agree_with_reference_forms(name, corpus):
     q = corpus[name]
     ref_of_key, key_of_ref = {}, {}
     for w in enumerate_strings(q, 6):
-        key = _key_function(w.codes(), w.walk_vertices())
+        key = _key_function(w.codes, w.walk_vertices())
         n = len(w)
         refs = {}
         for i in range(n + 1):

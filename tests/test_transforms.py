@@ -213,3 +213,21 @@ def test_barify_flags_boundary_relation_involvement():
     # delta and alpha already sit in the stage-one relations
     assert params["boundary_arrows_in_relations"] == ["alpha", "delta"]
     assert params["bar_length"] == 0
+
+
+def test_reductions_reject_a_band_of_another_quiver(corpus):
+    band = enumerate_bands(corpus["atilde5"])[0]
+    for op in (reduce, weak_reduce):
+        with pytest.raises(TransformError, match="is not a band of"):
+            op(corpus["lambda3"], band)
+
+
+def test_reductions_read_a_foreign_band_by_arrow_name(big_gentle):
+    # a band of a trimmed component, whose arrow indices differ, is
+    # re-read on the whole quiver by arrow name
+    comps, _ = trim(big_gentle)
+    ar = next(c for c in comps if "21" in c.vertices)
+    for b in enumerate_bands(ar):
+        names = {x.name for x in reduce(big_gentle, b).arrows}
+        assert names == b.representative.supported_arrows()
+        assert set(weak_reduce(big_gentle, b).vertices) == set(b.representative.walk_vertices())

@@ -21,6 +21,11 @@ from stringalg.words import (
 )
 
 
+def _word(q, letters):
+    """The word of a walk given in letters, built from its letter codes."""
+    return StringWord(q, tuple(2 * q.arrow_index[l.arrow] + l.inverse for l in letters))
+
+
 def test_seven_vertex_walk_is_a_string(lambda2):
     w = word_from_text(lambda2, "alpha- eps delta- gamma- beta eps")
     assert is_string(w)
@@ -80,7 +85,7 @@ def test_enumerate_strings_lambda3_against_recursive_oracle(lambda3):
         from stringalg.words import StringWord
 
         if letters:
-            w = StringWord(lambda3, tuple(letters))
+            w = _word(lambda3, letters)
             if not is_string(w):
                 return
             seen.add(canonical_string(w).sort_key())
@@ -238,7 +243,7 @@ def test_string_axioms_against_run_search(name):
     q = load_fixture(name)
     walks = strings = 0
     for letters in _composable_walks(q, 7):
-        w = StringWord(q, letters)
+        w = _word(q, letters)
         expected = _string_by_runs(q, letters)
         assert is_string(w) == expected, w
         assert is_band(w) == _band_by_powers(q, letters), w
