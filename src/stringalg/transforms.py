@@ -283,12 +283,11 @@ def _check_band(q: BoundQuiver, band: BandClass) -> StringWord:
     try:
         if w.quiver != q:  # quivers compare by structure
             w = word_from_text(q, band.render())
-        ok = is_band(w)
+        if is_band(w):
+            return w
     except WordError:
-        ok = False
-    if not ok:
-        raise TransformError(f"{band.render()} is not a band of {q.name!r}")
-    return w
+        pass
+    raise TransformError(f"{band.render()} is not a band of {q.name!r}")
 
 
 def weak_reduce(q: BoundQuiver, band: BandClass) -> BoundQuiver:
