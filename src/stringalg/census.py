@@ -7,14 +7,18 @@ from dataclasses import dataclass
 
 from .graphmaps import _is_brick_string, is_brick
 from .oracle import end_dim_linear
-from .quiver import BoundQuiver, QuiverError, validate_string_algebra
+from .quiver import (
+    BoundQuiver,
+    QuiverError,
+    _extend,
+    _inverse_codes,
+    _steps,
+    validate_string_algebra,
+)
 from .words import (
     BandClass,
     StringWord,
-    _extend,
-    _inverse_codes,
     _is_canonical,
-    _steps,
     canonical_band,
     enumerate_bands,
     string_module,

@@ -11,6 +11,7 @@ from .quiver import (
     BoundQuiver,
     QuiverError,
     _memo,
+    _steps,
     is_finite_dimensional,
     nodes,
     nonzero_paths,
@@ -28,7 +29,6 @@ from .transforms import fully_reduce, reduce, resolve_nodes
 from .words import (
     BandClass,
     StringWord,
-    _steps,
     band_exists,
     enumerate_bands,
     is_string,

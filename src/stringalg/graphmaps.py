@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .words import StringWord, WordError, _inverse_codes, is_string
+from .quiver import _inverse_codes
+from .words import StringWord, WordError, is_string
 
 QUOTIENT = "quotient"
 SUBMODULE = "submodule"

@@ -6,13 +6,17 @@ commutativity relations (two parallel paths are identified, coefficient
 fixed to 1).  Relation paths are stored in traversal order: the first
 applied arrow comes first, so the classical composition ``beta . alpha``
 is the tuple ``(alpha, beta)``.
+
+One per-quiver step table on letter codes ``2*arrow_index + inverse``
+(``_steps``) decides which walks survive the monomial relations: vanishing
+paths, finite dimension, strings and band existence all read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import wraps
-from typing import Iterator, Sequence
+from typing import NamedTuple, Sequence
 
 MONOMIAL = "monomial"
 COMMUTATIVITY = "commutativity"
@@ -94,9 +98,6 @@ class BoundQuiver:
             self._outgoing[a.src].append(a)
             self._incoming[a.tgt].append(a)
         self.monomials = tuple(r.path1 for r in self.relations if r.kind == MONOMIAL)
-        self._monomial_set = frozenset(self.monomials)
-        self._rel_lengths = tuple(sorted({len(p) for p in self.monomials}))
-        self._max_rel_len = max(self._rel_lengths, default=0)
         self._derived: dict = {}
 
     # -- construction checks -------------------------------------------------
@@ -200,17 +201,14 @@ class BoundQuiver:
     # -- the ideal -----------------------------------------------------------
 
     def path_in_ideal(self, path: Sequence[str]) -> bool:
-        """A path vanishes iff it contains a monomial generator as a factor.
+        """A composable path vanishes iff it contains a monomial generator
+        as a factor: iff its direct codes break the step table's rule.
 
         Commutativity relations never kill a path on their own.
         """
-        path = tuple(path)
-        n = len(path)
-        return any(
-            path[i : i + g] in self._monomial_set
-            for g in self._rel_lengths
-            for i in range(n - g + 1)
-        )
+        c = tuple(2 * self.arrow_index[x] for x in path)
+        steps = _steps(self)
+        return not all(_step_ok(steps, c, k) for k in range(len(c)))
 
     def is_path(self, path: Sequence[str]) -> bool:
         by = self.arrow_by_name
@@ -285,6 +283,122 @@ def _memo(fn):
         return q._derived[fn]
 
     return derived
+
+
+# -- the step table --------------------------------------------------------------
+
+
+def _inverse_codes(c: tuple[int, ...]) -> tuple[int, ...]:
+    """The codes of the inverse word: reversed, each letter's direction flipped."""
+    return tuple(x ^ 1 for x in reversed(c))
+
+
+class _Steps(NamedTuple):
+    """The string axioms of one quiver as a rule on letter codes.
+
+    ``succ[x]`` lists the codes that may follow code ``x``: the letters that
+    start where ``x`` ends, outgoing arrows direct first, then incoming
+    arrows inverse, without ``x ^ 1``, which would undo ``x`` (S1), and
+    without the codes that close a relation of length 2 with ``x`` (S2).
+    ``forbidden`` holds each other monomial relation twice, as its direct
+    codes and as their inverse codes, the way an inverse run spells it
+    (S2); ``lengths`` are their lengths, ascending.  ``ends[x]`` is the
+    vertex where code ``x`` ends; it starts at ``ends[x ^ 1]``.
+    """
+
+    succ: tuple[tuple[int, ...], ...]
+    forbidden: frozenset[tuple[int, ...]]
+    lengths: tuple[int, ...]
+    ends: tuple[str, ...]
+
+
+@_memo
+def _steps(q: BoundQuiver) -> _Steps:
+    """The step table of ``q``."""
+    index = q.arrow_index
+    leave = {
+        v: [2 * index[b.name] for b in q.outgoing(v)] + [2 * index[b.name] + 1 for b in q.incoming(v)]
+        for v in q.vertices
+    }
+    forbidden = set()
+    for path in q.monomials:
+        d = tuple(2 * index[x] for x in path)
+        forbidden.update((d, _inverse_codes(d)))
+    succ = []
+    for i, a in enumerate(q.arrows):
+        for x, v in ((2 * i, a.tgt), (2 * i + 1, a.src)):
+            succ.append(tuple(y for y in leave[v] if y != x ^ 1 and (x, y) not in forbidden))
+    lengths = tuple(sorted({len(p) for p in q.monomials} - {2}))
+    ends = tuple(v for a in q.arrows for v in (a.tgt, a.src))
+    return _Steps(tuple(succ), frozenset(w for w in forbidden if len(w) != 2), lengths, ends)
+
+
+def _step_ok(steps: _Steps, c: tuple[int, ...], k: int) -> bool:
+    """(S1) and (S2) at code ``k`` of a code walk whose first ``k`` codes
+    form a string.
+
+    Code ``k`` must lie in the successors of code ``k-1``, and no suffix of
+    ``c[:k+1]`` may be a forbidden window.  A window that mixes directions
+    never matches, so runs need no tracking; each relation factor of a run
+    ends at exactly one code, so a walk is a string iff every code passes.
+    """
+    succ, forbidden, lengths, _ = steps
+    if k and c[k] not in succ[c[k - 1]]:
+        return False
+    for g in lengths:
+        if g > k + 1:
+            break
+        if c[k + 1 - g : k + 1] in forbidden:
+            return False
+    return True
+
+
+def _extend(steps: _Steps, c: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The strings one code longer than the string ``c``, in ``succ`` order."""
+    grown = [c + (y,) for y in steps.succ[c[-1]]]
+    if not steps.lengths:  # every relation has length 2: ``succ`` is the rule
+        return grown
+    k = len(c)
+    return [e for e in grown if _step_ok(steps, e, k)]
+
+
+def _has_cycle(steps: _Steps, codes: Sequence[int]) -> bool:
+    """Whether a walk that uses only ``codes`` and passes the rule at every
+    step can go on for ever.
+
+    A state is the last ``w`` codes of such a walk, ``w`` one less than the
+    longest relation (at least 1): all that ``_step_ok`` reads of the past.
+    There are finitely many states, so an endless walk exists iff the states
+    close a cycle, found by one iterative colour DFS (1: on the path, 2:
+    done).
+    """
+    w = max(steps.lengths, default=2) - 1
+    allowed = frozenset(codes)
+
+    def moves(s: tuple[int, ...]) -> list[tuple[int, ...]]:
+        return [e[-w:] for e in _extend(steps, s) if e[-1] in allowed]
+
+    colour: dict[tuple[int, ...], int] = {}
+    for x in codes:
+        start = (x,)
+        if start in colour:
+            continue
+        colour[start] = 1
+        stack = [(start, iter(moves(start)))]
+        while stack:
+            s, it = stack[-1]
+            for t in it:
+                c = colour.get(t)
+                if c == 1:
+                    return True
+                if c is None:
+                    colour[t] = 1
+                    stack.append((t, iter(moves(t))))
+                    break
+            else:
+                colour[s] = 2
+                stack.pop()
+    return False
 
 
 # -- parsing ------------------------------------------------------------------
@@ -412,60 +526,11 @@ def nodes(q: BoundQuiver) -> frozenset[str]:
     return frozenset(out)
 
 
-def _composition_graph(q: BoundQuiver) -> dict[tuple[str, ...], list[tuple[str, ...]]]:
-    """Finite-state graph of nonzero path windows.
-
-    States are nonzero paths of length < max relation length (at least 1);
-    an edge appends one arrow keeping the window nonzero.  Cycles correspond
-    to arbitrarily long nonzero paths.
-    """
-    w = max(q._max_rel_len - 1, 1)
-    graph: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
-    stack = [(a.name,) for a in q.arrows]
-    seen = set(stack)
-    while stack:
-        state = stack.pop()
-        graph[state] = []
-        last = q.arrow_by_name[state[-1]]
-        for b in q.outgoing(last.tgt):
-            ext = state + (b.name,)
-            if q.path_in_ideal(ext):
-                continue
-            nxt = ext[-w:] if len(ext) > w else ext
-            graph[state].append(nxt)
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return graph
-
-
 @_memo
 def is_finite_dimensional(q: BoundQuiver) -> bool:
-    """True iff only finitely many paths avoid the monomial relations."""
-    graph = _composition_graph(q)
-    # iterative cycle detection (colour marking)
-    colour: dict[tuple[str, ...], int] = {}
-    for start in graph:
-        if colour.get(start):
-            continue
-        stack: list[tuple[tuple[str, ...], Iterator]] = [(start, iter(graph[start]))]
-        colour[start] = 1
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                c = colour.get(nxt, 0)
-                if c == 1:
-                    return False
-                if c == 0:
-                    colour[nxt] = 1
-                    stack.append((nxt, iter(graph.get(nxt, []))))
-                    advanced = True
-                    break
-            if not advanced:
-                colour[node] = 2
-                stack.pop()
-    return True
+    """True iff only finitely many paths avoid the monomial relations: iff
+    no endless walk runs over direct codes."""
+    return not _has_cycle(_steps(q), range(0, 2 * len(q.arrows), 2))
 
 
 def nonzero_paths(q: BoundQuiver) -> list[tuple[str, ...]]:
@@ -475,18 +540,15 @@ def nonzero_paths(q: BoundQuiver) -> list[tuple[str, ...]]:
     """
     if not is_finite_dimensional(q):
         raise QuiverError(f"quiver {q.name!r} is not finite dimensional")
-    out: list[tuple[str, ...]] = []
-    stack = [(a.name,) for a in q.arrows]
+    steps = _steps(q)
+    found: list[tuple[int, ...]] = []
+    stack = [(x,) for x in range(0, 2 * len(q.arrows), 2)]
     while stack:
-        path = stack.pop()
-        out.append(path)
-        last = q.arrow_by_name[path[-1]]
-        for b in q.outgoing(last.tgt):
-            ext = path + (b.name,)
-            if not q.path_in_ideal(ext):
-                stack.append(ext)
-    out.sort(key=lambda p: (len(p), tuple(q.arrow_index[x] for x in p)))
-    return out
+        c = stack.pop()
+        found.append(c)
+        stack.extend(e for e in _extend(steps, c) if not e[-1] & 1)
+    found.sort(key=lambda c: (len(c), c))
+    return [tuple(q.arrows[x >> 1].name for x in c) for c in found]
 
 
 # -- quotients -----------------------------------------------------------------

@@ -12,7 +12,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .quiver import BoundQuiver, QuiverError, _memo
+from .quiver import (
+    BoundQuiver,
+    QuiverError,
+    _extend,
+    _has_cycle,
+    _inverse_codes,
+    _memo,
+    _step_ok,
+    _Steps,
+    _steps,
+)
 
 
 class Letter(NamedTuple):
@@ -28,11 +38,6 @@ class Letter(NamedTuple):
 
 class WordError(QuiverError):
     """Raised on non-composable or otherwise malformed words."""
-
-
-def _inverse_codes(c: tuple[int, ...]) -> tuple[int, ...]:
-    """The codes of the inverse word: reversed, each letter's direction flipped."""
-    return tuple(x ^ 1 for x in reversed(c))
 
 
 def _code_text(q: BoundQuiver, x: int) -> str:
@@ -169,75 +174,7 @@ def lazy_word(q: BoundQuiver, vertex: str) -> StringWord:
 
 
 # -- the string axioms ---------------------------------------------------------
-
-
-class _Steps(NamedTuple):
-    """The string axioms of one quiver as a rule on letter codes.
-
-    ``succ[x]`` lists the codes that may follow code ``x``: the letters that
-    start where ``x`` ends, outgoing arrows direct first, then incoming
-    arrows inverse, without ``x ^ 1``, which would undo ``x`` (S1), and
-    without the codes that close a relation of length 2 with ``x`` (S2).
-    ``forbidden`` holds each other monomial relation twice, as its direct
-    codes and as their inverse codes, the way an inverse run spells it
-    (S2); ``lengths`` are their lengths, ascending.  ``ends[x]`` is the
-    vertex where code ``x`` ends; it starts at ``ends[x ^ 1]``.
-    """
-
-    succ: tuple[tuple[int, ...], ...]
-    forbidden: frozenset[tuple[int, ...]]
-    lengths: tuple[int, ...]
-    ends: tuple[str, ...]
-
-
-@_memo
-def _steps(q: BoundQuiver) -> _Steps:
-    """The step table of ``q``."""
-    index = q.arrow_index
-    leave = {
-        v: [2 * index[b.name] for b in q.outgoing(v)] + [2 * index[b.name] + 1 for b in q.incoming(v)]
-        for v in q.vertices
-    }
-    forbidden = set()
-    for path in q.monomials:
-        d = tuple(2 * index[x] for x in path)
-        forbidden.update((d, _inverse_codes(d)))
-    succ = []
-    for i, a in enumerate(q.arrows):
-        for x, v in ((2 * i, a.tgt), (2 * i + 1, a.src)):
-            succ.append(tuple(y for y in leave[v] if y != x ^ 1 and (x, y) not in forbidden))
-    lengths = tuple(g for g in q._rel_lengths if g != 2)
-    ends = tuple(v for a in q.arrows for v in (a.tgt, a.src))
-    return _Steps(tuple(succ), frozenset(w for w in forbidden if len(w) != 2), lengths, ends)
-
-
-def _step_ok(steps: _Steps, c: tuple[int, ...], k: int) -> bool:
-    """(S1) and (S2) at code ``k`` of a code walk whose first ``k`` codes
-    form a string.
-
-    Code ``k`` must lie in the successors of code ``k-1``, and no suffix of
-    ``c[:k+1]`` may be a forbidden window.  A window that mixes directions
-    never matches, so runs need no tracking; each relation factor of a run
-    ends at exactly one code, so a walk is a string iff every code passes.
-    """
-    succ, forbidden, lengths, _ = steps
-    if k and c[k] not in succ[c[k - 1]]:
-        return False
-    for g in lengths:
-        if g > k + 1:
-            break
-        if c[k + 1 - g : k + 1] in forbidden:
-            return False
-    return True
-
-
-def _extend(steps: _Steps, c: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The strings one code longer than the string ``c``, in ``succ`` order."""
-    grown = [c + (y,) for y in steps.succ[c[-1]]]
-    if not steps.lengths:  # every relation has length 2: ``succ`` is the rule
-        return grown
-    k = len(c)
-    return [e for e in grown if _step_ok(steps, e, k)]
+# The rule itself, ``_step_ok`` over the step table, lives in ``quiver``.
 
 
 def _check_composable(q: BoundQuiver, c: Sequence[int]) -> None:
@@ -327,19 +264,18 @@ def _is_primitive(c: tuple[int, ...]) -> bool:
     return True
 
 
-def _power_bound(q: BoundQuiver, length: int) -> int:
+def _power_bound(steps: _Steps, length: int) -> int:
     """Powers to test so every relation window across seams is exercised."""
-    need = max(3, (q._max_rel_len + length - 1) // max(length, 1) + 1)
-    return need
+    return max(3, (max(steps.lengths, default=2) + length - 1) // length + 1)
 
 
-def _is_band_walk(q: BoundQuiver, steps: _Steps, c: tuple[int, ...]) -> bool:
+def _is_band_walk(steps: _Steps, c: tuple[int, ...]) -> bool:
     """Whether the string ``c`` is a band: its power passes the rule past
     ``c`` itself (the first step there closes the walk), and ``c`` is
     primitive."""
     if c[0] not in steps.succ[c[-1]]:
         return False  # not closed, or the seam undoes a letter: most strings
-    p = c * _power_bound(q, len(c))
+    p = c * _power_bound(steps, len(c))
     return all(_step_ok(steps, p, k) for k in range(len(c), len(p))) and _is_primitive(c)
 
 
@@ -348,7 +284,7 @@ def is_band(w: StringWord) -> bool:
     prefix-closed, so testing the highest power needed covers the rest."""
     if len(w) == 0 or w.source != w.target or not is_string(w):
         return False
-    return _is_band_walk(w.quiver, _steps(w.quiver), w.codes)
+    return _is_band_walk(_steps(w.quiver), w.codes)
 
 
 def _least_rotation(c: tuple[int, ...]) -> tuple[int, ...]:
@@ -367,7 +303,7 @@ def supports_once_per_direction(w: StringWord) -> bool:
 
 
 def enumerate_bands(
-    q: BoundQuiver, max_len: int | None = None, find_one: bool = False, minimal_only: bool = True
+    q: BoundQuiver, max_len: int | None = None, minimal_only: bool = True
 ) -> list[BandClass]:
     """Band classes with representative length at most ``max_len``
     (default ``2 |Q1|``).
@@ -376,22 +312,21 @@ def enumerate_bands(
     are listed; every band arises from these by splicing repetitions, so
     nothing is lost for existence or reduction questions, and the list is
     finite without any length cap.  Pass ``minimal_only=False`` to opt into
-    the unrestricted (potentially much larger) enumeration.  With
-    ``find_one`` the search stops at the first band found.
+    the unrestricted (potentially much larger) enumeration.
     """
     # a minimal band uses each code at most once, so it is never longer
     # than 2 |Q1|: any larger bound gives the default list
-    if minimal_only and not find_one and (max_len is None or max_len >= 2 * len(q.arrows)):
+    if minimal_only and (max_len is None or max_len >= 2 * len(q.arrows)):
         return list(_default_bands(q))
-    return _bands(q, max_len, find_one, minimal_only)
+    return _bands(q, max_len, minimal_only)
 
 
 @_memo
 def _default_bands(q: BoundQuiver) -> tuple[BandClass, ...]:
-    return tuple(_bands(q, None, False, True))
+    return tuple(_bands(q, None, True))
 
 
-def _bands(q: BoundQuiver, max_len: int | None, find_one: bool, minimal_only: bool):
+def _bands(q: BoundQuiver, max_len: int | None, minimal_only: bool):
     if max_len is None:
         max_len = 2 * len(q.arrows)
     if max_len < 0:
@@ -403,10 +338,8 @@ def _bands(q: BoundQuiver, max_len: int | None, find_one: bool, minimal_only: bo
     frontier = [(x,) for x in range(2 * len(q.arrows))]
     while frontier:
         c = frontier.pop()
-        if _is_band_walk(q, steps, c):
+        if _is_band_walk(steps, c):
             classes.add(_least_rotation(c))
-            if find_one:
-                break
         if len(c) < max_len:
             used = set(c) if minimal_only else ()
             frontier.extend(e for e in _extend(steps, c) if e[-1] not in used)
@@ -414,18 +347,11 @@ def _bands(q: BoundQuiver, max_len: int | None, find_one: bool, minimal_only: bo
     return [BandClass(StringWord(q, c)) for c in sorted(classes, key=lambda c: (len(c), c))]
 
 
-def band_exists(q: BoundQuiver, bound: int | None = None) -> bool:
-    """Rep-infiniteness test: a band exists iff one of length at most
-    ``2 |Q1|`` does (a minimal band supports each arrow at most once per
-    direction)."""
-    if bound is None:
-        return _band_exists(q)
-    return bool(_bands(q, bound, True, True))
-
-
 @_memo
-def _band_exists(q: BoundQuiver) -> bool:
-    return bool(_bands(q, None, True, True))
+def band_exists(q: BoundQuiver) -> bool:
+    """Rep-infiniteness test: a band exists iff some string walk goes on for
+    ever, iff the states of the step table close a cycle."""
+    return _has_cycle(_steps(q), range(2 * len(q.arrows)))
 
 
 # -- string modules -------------------------------------------------------------

@@ -19,9 +19,9 @@ MEMOISED = (
     (quiver, "validate_gentle"),
     (quiver, "nodes"),
     (quiver, "is_finite_dimensional"),
-    (words, "_steps"),
+    (quiver, "_steps"),
     (words, "_default_bands"),
-    (words, "_band_exists"),
+    (words, "band_exists"),
     (classify, "classify_node_free"),
     (classify, "classify_mri_sb"),
 )

@@ -1,0 +1,156 @@
+"""The step table is the one rule for which walks survive the relations.
+Band existence, finite dimension and vanishing paths all read it; here each
+is checked against an independent computation, on the fixture corpus and on
+random string algebras."""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from stringalg.quiver import (
+    MONOMIAL,
+    Arrow,
+    BoundQuiver,
+    Relation,
+    is_finite_dimensional,
+    parse_quiver,
+    validate_string_algebra,
+)
+from stringalg.words import band_exists, enumerate_bands
+
+def _chance(draw, tenths: int) -> bool:
+    return draw(st.integers(min_value=0, max_value=9)) < tenths
+
+
+@st.composite
+def special_quivers(draw, max_vertices: int = 7) -> BoundQuiver:
+    """A connected quiver with in- and out-degree at most 2 and monomial
+    relations that make it a string algebra, possibly infinite dimensional:
+    the largest component of a random one.
+
+    At an arrow with two successors one or both compositions die; a lone
+    composition dies with chance 0.3; of the live predecessors of an arrow
+    one at most survives; each remaining length-3 path dies with chance
+    0.4.
+    """
+    n = draw(st.integers(min_value=1, max_value=max_vertices))
+    vertices = [f"v{i}" for i in range(n)]
+    out_deg, in_deg = [0] * n, [0] * n
+    arrows = []
+    for _ in range(draw(st.integers(min_value=n, max_value=2 * n))):
+        s = draw(st.integers(min_value=0, max_value=n - 1))
+        t = draw(st.integers(min_value=0, max_value=n - 1))
+        if out_deg[s] < 2 and in_deg[t] < 2:
+            out_deg[s] += 1
+            in_deg[t] += 1
+            arrows.append(Arrow(f"a{len(arrows)}", vertices[s], vertices[t]))
+    after = {a.name: [b.name for b in arrows if b.src == a.tgt] for a in arrows}
+    dead = set()
+    for a in arrows:
+        succ = after[a.name]
+        if len(succ) == 2:
+            dead.update((a.name, succ[i]) for i in draw(st.sampled_from([(0,), (1,), (0, 1)])))
+        elif succ and _chance(draw, 3):
+            dead.add((a.name, succ[0]))
+    for b in arrows:
+        live = [a.name for a in arrows if a.tgt == b.src and (a.name, b.name) not in dead]
+        dead.update((x, b.name) for x in live[1:])
+    relations = [Relation(MONOMIAL, p) for p in sorted(dead)]
+    for a in arrows:
+        for b in after[a.name]:
+            for c in after[b]:
+                if (a.name, b) not in dead and (b, c) not in dead and _chance(draw, 4):
+                    relations.append(Relation(MONOMIAL, (a.name, b, c)))
+    q = BoundQuiver("random", vertices, arrows, relations)
+    return max(q.components(), key=lambda c: len(c.arrows))
+
+
+def _vanishes(q: BoundQuiver, path: tuple[str, ...]) -> bool:
+    """Whether some monomial relation of ``q`` is a factor of ``path``."""
+    return any(
+        r.kind == MONOMIAL and path[i : i + len(r.path1)] == r.path1
+        for r in q.relations
+        for i in range(len(path))
+    )
+
+
+def _paths(q: BoundQuiver, max_len: int) -> list[tuple[str, ...]]:
+    """Every composable path of length 1 to ``max_len``, zero or not."""
+    out = []
+    frontier = [(a.name,) for a in q.arrows]
+    while frontier:
+        p = frontier.pop()
+        out.append(p)
+        if len(p) < max_len:
+            tgt = q.arrow_by_name[p[-1]].tgt
+            frontier.extend(p + (b.name,) for b in q.outgoing(tgt))
+    return out
+
+
+def _finite_by_composition_graph(q: BoundQuiver) -> bool:
+    """Finite dimension by the window graph over arrow names: a state is a
+    nonzero path shorter than the longest relation (at least one arrow), an
+    edge appends an arrow keeping the window nonzero, and a cycle means
+    arbitrarily long nonzero paths."""
+    w = max(max((len(r.path1) for r in q.relations if r.kind == MONOMIAL), default=0) - 1, 1)
+    graph = {}
+    stack = [(a.name,) for a in q.arrows]
+    seen = set(stack)
+    while stack:
+        state = stack.pop()
+        graph[state] = []
+        for b in q.outgoing(q.arrow_by_name[state[-1]].tgt):
+            ext = state + (b.name,)
+            if _vanishes(q, ext):
+                continue
+            nxt = ext[-w:]
+            graph[state].append(nxt)
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    colour = {}
+
+    def cyclic(node) -> bool:
+        colour[node] = 1
+        for nxt in graph[node]:
+            if colour.get(nxt) == 1 or (nxt not in colour and cyclic(nxt)):
+                return True
+        colour[node] = 2
+        return False
+
+    return not any(cyclic(s) for s in graph if s not in colour)
+
+
+def _check(q: BoundQuiver) -> None:
+    assert is_finite_dimensional(q) == _finite_by_composition_graph(q), q.to_text()
+    for p in _paths(q, 5):
+        assert q.path_in_ideal(p) == _vanishes(q, p), (q.to_text(), p)
+    if validate_string_algebra(q).holds and is_finite_dimensional(q):
+        assert band_exists(q) == bool(enumerate_bands(q)), q.to_text()
+
+
+def test_step_table_agrees_with_references_on_the_corpus(corpus):
+    for q in corpus.values():
+        _check(q)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(special_quivers())
+def test_step_table_agrees_with_references_on_random_quivers(q):
+    assert validate_string_algebra(q).holds, q.to_text()
+    _check(q)
+
+
+@pytest.mark.parametrize(
+    "text, finite, band",
+    [
+        ("arrow a: x -> x\n", False, True),
+        ("arrow a: x -> x\nrel a a a\n", True, False),
+        ("arrow a: x -> y\narrow b: x -> y\n", True, True),
+    ],
+    ids=["free-loop", "cubic-loop", "kronecker"],
+)
+def test_small_cases(text, finite, band):
+    vertices = "vertices: x y\n" if "y" in text else "vertices: x\n"
+    q = parse_quiver("quiver small\n" + vertices + text)
+    assert is_finite_dimensional(q) is finite
+    assert band_exists(q) is band

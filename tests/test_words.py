@@ -127,7 +127,7 @@ def test_bands_past_twice_the_arrows_are_the_default_list(corpus):
         default = enumerate_bands(q)
         for max_len in range(2 * len(q.arrows), 2 * len(q.arrows) + 4):
             assert enumerate_bands(q, max_len) == default, (name, max_len)
-            assert _bands(q, max_len, False, True) == default, (name, max_len)
+            assert _bands(q, max_len, True) == default, (name, max_len)
 
 
 def test_enumerate_bands_respects_its_bound():
@@ -175,8 +175,7 @@ def test_band_power_closure(name):
 @pytest.mark.parametrize("name", ["lambda3", "lambda4", "loops_barbell", "barbell_a9", "windwheel_a12"])
 def test_band_existence_bound_agreement(name):
     q = load_fixture(name)
-    n = len(q.arrows)
-    assert band_exists(q, bound=2 * n) == band_exists(q, bound=4 * n)
+    assert band_exists(q) == bool(enumerate_bands(q))
 
 
 def test_enumerated_strings_are_canonical(lambda4):
