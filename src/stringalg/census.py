@@ -51,7 +51,8 @@ def brick_census(q: BoundQuiver, max_len: int, window_lo: int | None = None) -> 
     """Count canonical strings and bricks per length up to ``max_len``.
 
     ``stabilized`` records that no brick occurs with length in
-    ``(window_lo, max_len]``.  Band classes are listed separately; band
+    ``(window_lo, max_len]``; it is false when that window is empty, since
+    then nothing was checked.  Band classes are listed separately; band
     modules are not counted as bricks here.
     """
     if max_len < 0:
@@ -66,7 +67,8 @@ def brick_census(q: BoundQuiver, max_len: int, window_lo: int | None = None) -> 
         window_lo = min(2 * longest, max_len) if longest else max_len
     strings, bricks = _census_counts(q, max_len)
     per_length = {l: (strings[l], bricks[l]) for l in range(max_len + 1)}
-    stabilized = all(per_length[l][1] == 0 for l in range(window_lo + 1, max_len + 1))
+    window = range(window_lo + 1, max_len + 1)
+    stabilized = bool(window) and all(per_length[l][1] == 0 for l in window)
     return CensusReport(per_length, bands, stabilized, max_len, window_lo)
 
 

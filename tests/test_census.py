@@ -19,7 +19,9 @@ def test_one_vertex_census():
     report = brick_census(q, 5)
     assert report.per_length[0] == (1, 1)
     assert all(report.per_length[l] == (0, 0) for l in range(1, 6))
-    assert report.stabilized
+    # no band: the default window (5, 5] is empty, so nothing was checked
+    assert not report.stabilized
+    assert brick_census(q, 5, window_lo=0).stabilized
 
 
 def test_double_cycle_census_stabilizes():

@@ -106,6 +106,18 @@ def test_census_subcommand_text_table(tmp_path):
     assert "len strings bricks" in proc.stdout
 
 
+def test_census_empty_window_is_not_stabilized(capsys):
+    # big_gentle's longest band has length 8, so the default window is
+    # [min(16, 8), 8]: empty, while 90 bricks have length 8
+    assert main(["census", "fixture:big_gentle", "--max-len", "8"]) == 0
+    census = json.loads(capsys.readouterr().out)["census"]
+    assert census["window"] == [8, 8]
+    assert census["per_length"]["8"][1] == 90
+    assert census["stabilized"] is False
+    assert main(["--format", "text", "census", "fixture:big_gentle", "--max-len", "8", "--window", "7"]) == 0
+    assert "stabilized: False" in capsys.readouterr().out.splitlines()
+
+
 def test_fixture_scheme_and_in_process_entry_point(capsys):
     assert main(["--format", "text", "classify", "fixture:barbell_a9"]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "Barbell"
