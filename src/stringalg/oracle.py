@@ -7,8 +7,9 @@ solution space dimension is computed by fraction-free integer elimination
 pivot; a row whose entry in the pivot column is 0 is left as it is only
 when the pivot equals the previous pivot, since only then is its update
 ``row * pivot // previous`` the identity.  The rank is the same over any
-field of characteristic 0; a characteristic 32003 recomputation is
-available as a sanity mode.
+field of characteristic 0; a characteristic 32003 recomputation by the
+same elimination, with updates reduced mod 32003, is available as a
+sanity mode.
 """
 
 from __future__ import annotations
@@ -52,11 +53,18 @@ def _intertwiner_matrix(U: Representation, V: Representation) -> tuple[list[list
     return rows, nvars
 
 
-def _rank_bareiss(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix by fraction-free Gaussian elimination."""
+def _rank_bareiss(rows: list[list[int]], p: int | None = None) -> int:
+    """Rank of an integer matrix by fraction-free Gaussian elimination.
+
+    Over the rationals (no ``p``) each update is divided exactly by the
+    previous pivot (Bareiss).  Over GF(``p``) for a prime ``p`` the entries
+    are reduced mod ``p`` and each update is reduced instead of divided; a
+    row with a zero below the pivot is then always skipped, since its update
+    would only scale it by the nonzero pivot.
+    """
     if not rows:
         return 0
-    m = [row[:] for row in rows]
+    m = [[x % p for x in row] for row in rows] if p else [row[:] for row in rows]
     n_rows, n_cols = len(m), len(m[0])
     rank = 0
     prev = 1
@@ -69,43 +77,21 @@ def _rank_bareiss(rows: list[list[int]]) -> int:
         if pivot_row is None:
             continue
         m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        piv = m[rank][col]
+        mp = m[rank]
+        piv = mp[col]
         for r in range(rank + 1, n_rows):
-            mr, mp = m[r], m[rank]
+            mr = m[r]
             frr = mr[col]
-            if frr == 0 and piv == prev:
-                continue  # the update below would be ``mr[c] * piv // prev``: the identity
-            for c in range(col, n_cols):
-                mr[c] = (mr[c] * piv - frr * mp[c]) // prev
+            if frr == 0 and (p or piv == prev):
+                continue  # over Q the update ``mr[c] * piv // prev`` is then the identity
+            if p:
+                for c in range(col, n_cols):
+                    mr[c] = (mr[c] * piv - frr * mp[c]) % p
+            else:
+                for c in range(col, n_cols):
+                    mr[c] = (mr[c] * piv - frr * mp[c]) // prev
         rank += 1
         prev = piv
-        if rank == n_rows:
-            break
-    return rank
-
-
-def _rank_mod_p(rows: list[list[int]], p: int) -> int:
-    if not rows:
-        return 0
-    m = [[x % p for x in row] for row in rows]
-    n_rows, n_cols = len(m), len(m[0])
-    rank = 0
-    for col in range(n_cols):
-        pivot_row = None
-        for r in range(rank, n_rows):
-            if m[r][col]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        inv = pow(m[rank][col], p - 2, p)
-        m[rank] = [(x * inv) % p for x in m[rank]]
-        for r in range(n_rows):
-            if r != rank and m[r][col]:
-                f = m[r][col]
-                m[r] = [(a - f * b) % p for a, b in zip(m[r], m[rank])]
-        rank += 1
         if rank == n_rows:
             break
     return rank
@@ -116,7 +102,7 @@ def hom_dim_linear(U: Representation, V: Representation, sanity: bool = False) -
     rows, nvars = _intertwiner_matrix(U, V)
     rank = _rank_bareiss(rows)
     if sanity:
-        rank_p = _rank_mod_p(rows, SANITY_PRIME)
+        rank_p = _rank_bareiss(rows, SANITY_PRIME)
         if rank_p != rank:
             raise ArithmeticError(
                 f"rank disagreement: {rank} over Q vs {rank_p} mod {SANITY_PRIME}"

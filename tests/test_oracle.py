@@ -50,12 +50,40 @@ def test_bareiss_rank_of_the_skip_witness():
     assert _rank_bareiss(rows) == 6
 
 
+def _rank_mod(rows, p):
+    """Rank over GF(p) by Gauss-Jordan elimination with modular inverses."""
+    m = [[x % p for x in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = pow(m[rank][col], -1, p)
+        m[rank] = [x * inv % p for x in m[rank]]
+        for r in range(len(m)):
+            if r != rank and m[r][col]:
+                f = m[r][col]
+                m[r] = [(a - f * b) % p for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
 def test_bareiss_rank_against_fraction_elimination():
     rng = random.Random(20261018)
     for _ in range(3000):
         n_rows, n_cols = rng.randint(1, 8), rng.randint(1, 8)
         rows = [[rng.randint(-3, 3) for _ in range(n_cols)] for _ in range(n_rows)]
         assert _rank_bareiss(rows) == _rank_fraction(rows), rows
+        for p in (5, 32003):
+            assert _rank_bareiss(rows, p) == _rank_mod(rows, p), (rows, p)
+
+
+def test_bareiss_rank_mod_p_small_cases():
+    assert _rank_bareiss([], 5) == 0
+    assert _rank_bareiss([[5, 10], [0, 0]], 5) == 0
+    assert _rank_bareiss([[1, 2], [3, 1]], 5) == 1  # det -5
+    assert _rank_bareiss([[1, 2], [3, 1]]) == 2
 
 
 def test_simple_module_endomorphisms(lambda3):
