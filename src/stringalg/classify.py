@@ -42,6 +42,10 @@ WIND_WHEEL = "WindWheel"
 NODY = "Nody"
 OTHER = "Other"
 
+# a brick-finite verdict's census runs to this many times the longest band
+# length and checks that no brick occurs in the last band length of it
+STABILIZATION_FACTOR = 3
+
 
 @dataclass(frozen=True)
 class ClassLabel:
@@ -369,12 +373,12 @@ def _family_witness(q: BoundQuiver, label: ClassLabel, m_max: int) -> dict:
     }
 
 
-def _census_witness(q: BoundQuiver, stabilization_factor: int = 3) -> dict:
+def _census_witness(q: BoundQuiver) -> dict:
     from .census import brick_census
 
     band_len = max((b.length() for b in enumerate_bands(q)), default=1)
-    hi = stabilization_factor * band_len
-    lo = (stabilization_factor - 1) * band_len
+    hi = STABILIZATION_FACTOR * band_len
+    lo = (STABILIZATION_FACTOR - 1) * band_len
     report = brick_census(q, hi, window_lo=lo)
     return {
         "kind": "census-stabilization",
@@ -396,9 +400,7 @@ def _reduced_family_witness(q: BoundQuiver, m_max: int) -> dict:
     return _family_witness(red, classify_node_free(red), m_max)
 
 
-def tau_finiteness(
-    q: BoundQuiver, m_max: int = 3, budget: int = 64, stabilization_factor: int = 3
-) -> TauVerdict:
+def tau_finiteness(q: BoundQuiver, m_max: int = 3, budget: int = 64) -> TauVerdict:
     """Decision cascade for tau-tilting finiteness of a special biserial
     algebra.  Witnesses re-verify: brick families are checked through graph
     maps and the linear-algebra oracle, finiteness through a bounded census.
@@ -427,7 +429,7 @@ def tau_finiteness(
         return TauVerdict(INFINITE, _family_witness(q0, label, m_max), tuple(trace))
     if label.value in (WIND_WHEEL, NODY):
         trace.append(f"classified {label.value}: brick-finite")
-        return TauVerdict(FINITE, _census_witness(q0, stabilization_factor), tuple(trace))
+        return TauVerdict(FINITE, _census_witness(q0), tuple(trace))
     tried = []
     for band in enumerate_bands(q0)[:budget]:
         r = reduce(q0, band)

@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import __version__
-from .census import brick_census, unique_brick_band_scan
+from .census import brick_census, brick_rotation
 from .classify import classify_mri_sb, classify_node_free, gentle_hom_report, tau_finiteness
 from .fixtures import fixture_names, load_fixture
 from .graphmaps import admissible_pairs, is_brick
@@ -138,8 +138,8 @@ def cmd_hom(args) -> int:
     payload = {"dim": basis.dim}
     lines = [f"dim = {basis.dim}"]
     if args.verbose:
-        payload["pairs"] = [list(p.splits()) for p in basis.pairs]
-        lines += [f"splits {p.splits()}" for p in basis.pairs]
+        payload["pairs"] = [list(p) for p in basis.pairs]
+        lines += [f"splits {p}" for p in basis.pairs]
     _emit(args, _report(args, payload, text), lines)
     return EXIT_OK
 
@@ -159,7 +159,8 @@ def cmd_census(args) -> int:
     report = brick_census(q, args.max_len, window_lo=args.window)
     payload = {"census": report.to_json()}
     if args.m_max:
-        scan = unique_brick_band_scan(q, min(args.max_len, 2 * len(q.arrows)), args.m_max)
+        # the census already lists every minimal band: none is longer than 2|Q1|
+        scan = [b for b in report.bands if brick_rotation(b, args.m_max) is not None]
         payload["brick_bands"] = [b.render() for b in scan]
     lines = ["len strings bricks"] + [
         f"{l:3d} {s:7d} {b:6d}" for l, (s, b) in sorted(report.per_length.items())
@@ -299,13 +300,22 @@ def build_parser() -> argparse.ArgumentParser:
         prog="stringalg",
         description="string algebra combinatorics and tau-tilting finiteness",
     )
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--output", "-o", help="write the report to a file instead of stdout")
-    p.add_argument("--strict", action="store_true", help="exit 1 on failing verdicts")
+    # the global flags are also accepted after the subcommand; there they
+    # default to SUPPRESS, so a flag given before the subcommand stands
+    # unless it is given again after it
+    flags = argparse.ArgumentParser(add_help=False)
+    for parser, (fmt, output, strict) in ((p, ("json", None, False)), (flags, (argparse.SUPPRESS,) * 3)):
+        parser.add_argument("--format", choices=("json", "text"), default=fmt)
+        parser.add_argument(
+            "--output", "-o", default=output, help="write the report to a file instead of stdout"
+        )
+        parser.add_argument(
+            "--strict", action="store_true", default=strict, help="exit 1 on failing verdicts"
+        )
     sub = p.add_subparsers(dest="cmd", required=True)
 
     def add(name, fn, **kwargs):
-        sp = sub.add_parser(name, **kwargs)
+        sp = sub.add_parser(name, parents=[flags], **kwargs)
         sp.set_defaults(fn=fn)
         return sp
 

@@ -1,11 +1,12 @@
-"""Graph maps: factorizations, admissible pairs and the Hom basis.
+"""Graph maps: the Hom basis as split tuples, and the brick test.
 
-A triple ``u = u3.u2.u1`` (traversal order: ``u1`` first) is a quotient
-factorization when the letter of ``u1`` adjacent to ``u2`` is inverse and
-the letter of ``u3`` adjacent to ``u2`` is direct, empty parts allowed;
-submodule factorizations are dual.  Each pair of a quotient factorization
-of ``u`` and a submodule factorization of ``v`` with equivalent middles is
-one basis element of Hom(M(u), M(v)).
+A split ``(i, j)`` of a word ``u`` (traversal order: ``u[:i]`` first) cuts
+it into ``u[j:] . u[i:j] . u[:i]``.  It is a quotient split when the letter
+of ``u[:i]`` next to the middle ``u[i:j]`` is inverse and the letter of
+``u[j:]`` next to it is direct, empty sides allowed; submodule splits are
+dual.  Each pair of a quotient split ``(i, j)`` of ``u`` and a submodule
+split ``(i2, j2)`` of ``v`` with equivalent middles is one basis element
+``(i, j, i2, j2)`` of Hom(M(u), M(v)).
 """
 
 from __future__ import annotations
@@ -15,55 +16,18 @@ from dataclasses import dataclass
 from .quiver import _inverse_codes
 from .words import StringWord, WordError, is_string
 
-QUOTIENT = "quotient"
-SUBMODULE = "submodule"
-
-
-@dataclass(frozen=True)
-class Factorization:
-    word: StringWord
-    i: int
-    j: int
-    kind: str
-
-    @property
-    def parts(self) -> tuple[StringWord, StringWord, StringWord]:
-        """(u3, u2, u1) with u1 traversed first."""
-        w = self.word
-        return (w.slice(self.j, len(w)), w.slice(self.i, self.j), w.slice(0, self.i))
-
-    def splits(self) -> tuple[int, int]:
-        return (self.i, self.j)
-
-
-@dataclass(frozen=True)
-class AdmissiblePair:
-    quotient: Factorization
-    submodule: Factorization
-
-    def is_trivial(self) -> bool:
-        u, v = self.quotient, self.submodule
-        return (
-            u.word == v.word
-            and u.splits() == (0, len(u.word))
-            and v.splits() == (0, len(v.word))
-        )
-
-    def splits(self) -> tuple[int, int, int, int]:
-        return self.quotient.splits() + self.submodule.splits()
-
 
 @dataclass(frozen=True)
 class HomBasis:
-    pairs: tuple[AdmissiblePair, ...]
+    pairs: tuple[tuple[int, int, int, int], ...]
 
     @property
     def dim(self) -> int:
         return len(self.pairs)
 
 
-def _bounds(c: tuple[int, ...], inverse_before: int) -> tuple[list[int], list[int]]:
-    """Where the middles of one kind may start and where they may end.
+def _splits(c: tuple[int, ...], inverse_before: int) -> list[tuple[int, int]]:
+    """The splits of one kind of a word with codes ``c``, in ascending order.
 
     A quotient middle starts after an inverse letter and ends before a
     direct one (``inverse_before = 1``); a submodule middle starts after a
@@ -71,24 +35,24 @@ def _bounds(c: tuple[int, ...], inverse_before: int) -> tuple[list[int], list[in
     The ends of the word are always allowed.
     """
     n = len(c)
-    lo = [i for i in range(n + 1) if i == 0 or c[i - 1] & 1 == inverse_before]
     hi = [j for j in range(n + 1) if j == n or c[j] & 1 != inverse_before]
-    return lo, hi
+    return [
+        (i, j)
+        for i in range(n + 1)
+        if i == 0 or c[i - 1] & 1 == inverse_before
+        for j in hi
+        if i <= j
+    ]
 
 
-def _splits(c: tuple[int, ...], inverse_before: int) -> list[tuple[int, int]]:
-    lo, hi = _bounds(c, inverse_before)
-    return [(i, j) for i in lo for j in hi if i <= j]
+def quotient_factorizations(u: StringWord) -> list[tuple[int, int]]:
+    """The splits ``(i, j)`` inducing quotient maps M(u) ->> M(u[i:j])."""
+    return _splits(u.codes, 1)
 
 
-def quotient_factorizations(u: StringWord) -> list[Factorization]:
-    """All factorizations inducing quotient maps M(u) ->> M(u2)."""
-    return [Factorization(u, i, j, QUOTIENT) for i, j in _splits(u.codes, 1)]
-
-
-def submodule_factorizations(u: StringWord) -> list[Factorization]:
-    """All factorizations inducing inclusions M(u2) -> M(u)."""
-    return [Factorization(u, i, j, SUBMODULE) for i, j in _splits(u.codes, 0)]
+def submodule_factorizations(u: StringWord) -> list[tuple[int, int]]:
+    """The splits ``(i, j)`` inducing inclusions M(u[i:j]) -> M(u)."""
+    return _splits(u.codes, 0)
 
 
 def _key_function(c: tuple[int, ...], walk: list[str]):
@@ -113,21 +77,18 @@ def admissible_pairs(u: StringWord, v: StringWord) -> HomBasis:
     for w in (u, v):
         if not is_string(w):
             raise WordError(f"{w.render()} is not a string")
-    cu, cv = u.codes, v.codes
-    key_u = _key_function(cu, u.walk_vertices())
-    key_v = _key_function(cv, v.walk_vertices())
+    key_u = _key_function(u.codes, u.walk_vertices())
+    key_v = _key_function(v.codes, v.walk_vertices())
     sub_index: dict[object, list[tuple[int, int]]] = {}
-    for i, j in _splits(cv, 0):
+    for i, j in _splits(v.codes, 0):
         sub_index.setdefault(key_v(i, j), []).append((i, j))
-    pairs = []
-    for i, j in _splits(cu, 1):
-        for i2, j2 in sub_index.get(key_u(i, j), ()):
-            pairs.append(
-                AdmissiblePair(
-                    Factorization(u, i, j, QUOTIENT), Factorization(v, i2, j2, SUBMODULE)
-                )
-            )
-    return HomBasis(tuple(pairs))
+    return HomBasis(
+        tuple(
+            (i, j, i2, j2)
+            for i, j in _splits(u.codes, 1)
+            for i2, j2 in sub_index.get(key_u(i, j), ())
+        )
+    )
 
 
 def hom_dim(u: StringWord, v: StringWord) -> int:
@@ -138,24 +99,15 @@ def _is_brick_string(w: StringWord) -> bool:
     """The brick test for a word already known to be a string.
 
     The split ``(0, n)`` is the only middle of full length ``n``, so the
-    trivial pair is the only pair with a middle of length ``n``; the string
-    is a brick iff no quotient middle shorter than ``n`` has the key of a
-    submodule middle of the same length.  Lengths are scanned upwards, and
-    the scan stops at the first match.
+    trivial pair ``(0, n, 0, n)`` is the only pair with a middle of length
+    ``n``: the string is a brick iff no shorter quotient middle has the key
+    of a shorter submodule middle.  A lazy middle's key is a vertex and any
+    other key is a code tuple, so equal keys have equal lengths.
     """
-    c = w.codes
+    c, n = w.codes, len(w.codes)
     key = _key_function(c, w.walk_vertices())
-    n = len(c)
-    sub_lo, sub_hi = _bounds(c, 0)
-    quo_lo, quo_hi = _bounds(c, 1)
-    sub_hi, quo_hi = set(sub_hi), set(quo_hi)
-    for length in range(n):
-        sub_keys = {key(i, i + length) for i in sub_lo if i + length in sub_hi}
-        if sub_keys and any(
-            key(i, i + length) in sub_keys for i in quo_lo if i + length in quo_hi
-        ):
-            return False
-    return True
+    sub_keys = {key(i, j) for i, j in _splits(c, 0) if j - i < n}
+    return not any(key(i, j) in sub_keys for i, j in _splits(c, 1) if j - i < n)
 
 
 def is_brick(w: StringWord) -> bool:

@@ -99,6 +99,49 @@ def test_hom_subcommand_with_split_positions(tmp_path):
     assert len(report["pairs"]) == 1
 
 
+def test_hom_verbose_pairs_are_pinned(capsys):
+    # three basis elements, each printed as its splits (i, j, i2, j2): the
+    # quotient middle u[i:j] and the submodule middle v[i2:j2]
+    argv = ["hom", "fixture:lambda2", "beta eps delta- gamma- beta", "eps delta- gamma- beta eps", "-v"]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["dim"] == 3
+    assert report["pairs"] == [[0, 0, 5, 5], [0, 4, 1, 5], [3, 5, 0, 2]]
+    assert main(["--format", "text", *argv]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "dim = 3",
+        "splits (0, 0, 5, 5)",
+        "splits (0, 4, 1, 5)",
+        "splits (3, 5, 0, 2)",
+    ]
+
+
+@pytest.mark.parametrize(
+    "flag, argv, status",
+    [
+        (
+            ["--format", "text"],
+            ["hom", "fixture:lambda2", "alpha- eps delta- gamma- beta eps", "delta- gamma- beta eps", "-v"],
+            0,
+        ),
+        (["--strict"], ["validate", "fixture:lambda1"], 1),
+    ],
+    ids=["format-text", "strict"],
+)
+def test_global_flags_work_before_and_after_the_subcommand(flag, argv, status, capsys):
+    assert main(flag + argv) == status
+    before = capsys.readouterr().out
+    assert main(argv + flag) == status
+    assert capsys.readouterr().out == before
+    # without the flag the report or the status differs: the flag was read
+    assert (main(argv), capsys.readouterr().out) != (status, before)
+
+
+def test_flag_after_the_subcommand_keeps_one_given_before(capsys):
+    assert main(["--format", "text", "validate", "fixture:lambda1", "--strict"]) == 1
+    assert capsys.readouterr().out.splitlines()[0] == "special_biserial: holds"
+
+
 def test_census_subcommand_text_table(tmp_path):
     path = write_fixture(tmp_path, "lambda3")
     proc = run_cli(["--format", "text", "census", path, "--max-len", "4"])
