@@ -377,17 +377,16 @@ def _census_witness(q: BoundQuiver) -> dict:
     from .census import brick_census
 
     band_len = max((b.length() for b in enumerate_bands(q)), default=1)
-    hi = STABILIZATION_FACTOR * band_len
-    lo = (STABILIZATION_FACTOR - 1) * band_len
-    report = brick_census(q, hi, window_lo=lo)
+    # no band is longer than the census bound, so the census meets the
+    # longest band and its default window is the last band length
+    report = brick_census(q, STABILIZATION_FACTOR * band_len)
+    lo, hi = report.window_lo, report.bound_used
     return {
         "kind": "census-stabilization",
         "algebra": q.name,
         "window": [lo, hi],
         "stabilized": report.stabilized,
-        "bricks_in_window": sum(
-            report.per_length[l][1] for l in range(lo + 1, hi + 1) if l in report.per_length
-        ),
+        "bricks_in_window": sum(report.per_length[l][1] for l in range(lo + 1, hi + 1)),
     }
 
 

@@ -159,7 +159,7 @@ def cmd_census(args) -> int:
     report = brick_census(q, args.max_len, window_lo=args.window)
     payload = {"census": report.to_json()}
     if args.m_max:
-        # the census already lists every minimal band: none is longer than 2|Q1|
+        # the minimal bands up to --max-len, the ones the census lists
         scan = [b for b in report.bands if brick_rotation(b, args.m_max) is not None]
         payload["brick_bands"] = [b.render() for b in scan]
     lines = ["len strings bricks"] + [

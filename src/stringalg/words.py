@@ -302,49 +302,40 @@ def supports_once_per_direction(w: StringWord) -> bool:
     return len(set(w.codes)) == len(w.codes)
 
 
-def enumerate_bands(
-    q: BoundQuiver, max_len: int | None = None, minimal_only: bool = True
-) -> list[BandClass]:
-    """Band classes with representative length at most ``max_len``
-    (default ``2 |Q1|``).
+def enumerate_bands(q: BoundQuiver, max_len: int | None = None) -> list[BandClass]:
+    """Band classes supporting each arrow at most once per direction, with
+    representative length at most ``max_len`` (default: all of them).
 
-    By default only bands supporting each arrow at most once per direction
-    are listed; every band arises from these by splicing repetitions, so
-    nothing is lost for existence or reduction questions, and the list is
-    finite without any length cap.  Pass ``minimal_only=False`` to opt into
-    the unrestricted (potentially much larger) enumeration.
+    Every band arises from these by splicing repetitions, so nothing is
+    lost for existence or reduction questions.  Such a band uses each code
+    at most once, so none is longer than ``2 |Q1|``.
     """
-    # a minimal band uses each code at most once, so it is never longer
-    # than 2 |Q1|: any larger bound gives the default list
-    if minimal_only and (max_len is None or max_len >= 2 * len(q.arrows)):
-        return list(_default_bands(q))
-    return _bands(q, max_len, minimal_only)
+    if max_len is None:
+        return list(_bands(q))
+    if max_len < 0:
+        raise QuiverError(f"max_len must be at least 0, got {max_len}")
+    return [b for b in _bands(q) if b.length() <= max_len]
 
 
 @_memo
-def _default_bands(q: BoundQuiver) -> tuple[BandClass, ...]:
-    return tuple(_bands(q, None, True))
+def _bands(q: BoundQuiver) -> tuple[BandClass, ...]:
+    """The band classes of ``enumerate_bands``, in ``BandClass.sort_key`` order.
 
-
-def _bands(q: BoundQuiver, max_len: int | None, minimal_only: bool):
-    if max_len is None:
-        max_len = 2 * len(q.arrows)
-    if max_len < 0:
-        raise QuiverError(f"max_len must be at least 0, got {max_len}")
-    if max_len == 0:
-        return []
+    A representative starts with the least code of its class's codes and
+    their inverses, a set closed under ``x ^ 1``, so with a direct code
+    ``x`` followed by greater codes only.  The search grows walks from each
+    direct code, using codes greater than it and none twice.
+    """
     steps = _steps(q)
     classes = set()  # the least rotation of each class met
-    frontier = [(x,) for x in range(2 * len(q.arrows))]
+    frontier = [(x,) for x in range(0, 2 * len(q.arrows), 2)]
     while frontier:
         c = frontier.pop()
         if _is_band_walk(steps, c):
             classes.add(_least_rotation(c))
-        if len(c) < max_len:
-            used = set(c) if minimal_only else ()
-            frontier.extend(e for e in _extend(steps, c) if e[-1] not in used)
+        frontier.extend(e for e in _extend(steps, c) if e[-1] > c[0] and e[-1] not in c)
     # the order of BandClass.sort_key, which is (length, codes, -1)
-    return [BandClass(StringWord(q, c)) for c in sorted(classes, key=lambda c: (len(c), c))]
+    return tuple(BandClass(StringWord(q, c)) for c in sorted(classes, key=lambda c: (len(c), c)))
 
 
 @_memo

@@ -161,6 +161,17 @@ def test_census_empty_window_is_not_stabilized(capsys):
     assert "stabilized: False" in capsys.readouterr().out.splitlines()
 
 
+def test_census_brick_bands_are_the_listed_bands_up_to_max_len(capsys):
+    # a9's one band has length 10: a census to length 8 lists no band and
+    # so scans none, one to length 10 lists and scans it
+    band = "eps- beta beta1 beta2- gamma mu- delta alpha2 alpha1- alpha"
+    for max_len, bands in (("8", []), ("10", [band])):
+        assert main(["census", "fixture:a9", "--max-len", max_len, "--m-max", "2"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["census"]["bands"] == bands
+        assert report["brick_bands"] == bands
+
+
 def test_fixture_scheme_and_in_process_entry_point(capsys):
     assert main(["--format", "text", "classify", "fixture:barbell_a9"]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "Barbell"

@@ -20,7 +20,7 @@ MEMOISED = (
     (quiver, "nodes"),
     (quiver, "is_finite_dimensional"),
     (quiver, "_steps"),
-    (words, "_default_bands"),
+    (words, "_bands"),
     (words, "band_exists"),
     (classify, "classify_node_free"),
     (classify, "classify_mri_sb"),
@@ -53,7 +53,7 @@ def test_derived_data_is_computed_once_per_quiver(argv, monkeypatch, capsys):
                     monkeypatch.setattr(m, attr, fresh)
     assert main(argv) == 0
     capsys.readouterr()
-    assert {name for name, _ in runs} >= {"_default_bands", "classify_mri_sb", "_steps"}
+    assert {name for name, _ in runs} >= {"_bands", "classify_mri_sb", "_steps"}
     assert {key: n for key, n in runs.items() if n > 1} == {}
 
 
