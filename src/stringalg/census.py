@@ -196,11 +196,16 @@ def _zero_bar_family(detail: dict) -> StringWord:
     return w
 
 
+def _check_m_max(m_max: int) -> None:
+    # an empty range of exponents would make every word pass
+    if m_max < 1:
+        raise QuiverError(f"m_max must be at least 1, got {m_max}")
+
+
 def barbell_brick_family(q: BoundQuiver, label, m_max: int = 4) -> BrickFamilyWitness:
     """The canonical band whose powers stay bricks, verified for
     ``m = 1..m_max`` through graph maps and the linear-algebra oracle."""
-    if m_max < 1:
-        raise QuiverError(f"m_max must be at least 1, got {m_max}")
+    _check_m_max(m_max)
     detail = label.detail
     if label.value == "HereditaryAn":
         # the seam vertex must not land in both top and socle; some rotation
@@ -238,6 +243,7 @@ def brick_rotation(b: BandClass, m_max: int) -> StringWord | None:
     property must be searched over the class, not read off one
     representative.
     """
+    _check_m_max(m_max)
     rep = b.representative
     for base in (rep, rep.inverse()):
         for k in range(len(rep)):
@@ -250,6 +256,7 @@ def brick_rotation(b: BandClass, m_max: int) -> StringWord | None:
 def unique_brick_band_scan(q: BoundQuiver, max_band_len: int, m_max: int) -> list[BandClass]:
     """Band classes admitting a rotation all of whose powers up to
     ``m_max`` are bricks."""
+    _check_m_max(m_max)
     if not validate_string_algebra(q).holds:
         raise QuiverError("scan expects a string algebra")
     return [b for b in enumerate_bands(q, max_band_len) if brick_rotation(b, m_max) is not None]

@@ -404,6 +404,8 @@ def tau_finiteness(q: BoundQuiver, m_max: int = 3, budget: int = 64) -> TauVerdi
     algebra.  Witnesses re-verify: brick families are checked through graph
     maps and the linear-algebra oracle, finiteness through a bounded census.
     """
+    if m_max < 1:
+        raise QuiverError(f"m_max must be at least 1, got {m_max}")
     if budget < 0:
         raise QuiverError(f"budget must be at least 0, got {budget}")
     if not validate_special_biserial(q).holds:

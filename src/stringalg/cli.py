@@ -156,6 +156,8 @@ def cmd_brick(args) -> int:
 
 def cmd_census(args) -> int:
     q, text = _load(args.quiver)
+    if args.m_max < 0:  # 0: no band scan
+        raise QuiverError(f"m_max must be at least 0, got {args.m_max}")
     report = brick_census(q, args.max_len, window_lo=args.window)
     payload = {"census": report.to_json()}
     if args.m_max:

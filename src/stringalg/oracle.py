@@ -10,6 +10,13 @@ when the pivot equals the previous pivot, since only then is its update
 field of characteristic 0; a characteristic 32003 recomputation by the
 same elimination, with updates reduced mod 32003, is available as a
 sanity mode.
+
+End(U) (``V is U``, sanity off) is first decided mod 32003: if the corank
+there is 1, then dim End(U) = 1 exactly, since the identity makes the
+corank over Q at least 1 and reducing mod p can only lower the rank.
+Otherwise the rank over Q decides.  The modular elimination skips every
+row with a zero below the pivot, so it is the faster of the two on the
+sparse systems of string modules.
 """
 
 from __future__ import annotations
@@ -100,6 +107,8 @@ def _rank_bareiss(rows: list[list[int]], p: int | None = None) -> int:
 def hom_dim_linear(U: Representation, V: Representation, sanity: bool = False) -> int:
     """dim Hom(U, V) as the corank of the intertwiner system."""
     rows, nvars = _intertwiner_matrix(U, V)
+    if U is V and not sanity and nvars - _rank_bareiss(rows, SANITY_PRIME) == 1:
+        return 1  # End(U): corank 1 <= corank over Q <= corank mod p
     rank = _rank_bareiss(rows)
     if sanity:
         rank_p = _rank_bareiss(rows, SANITY_PRIME)

@@ -11,7 +11,7 @@ from stringalg.census import (
 from stringalg.classify import classify_node_free
 from stringalg.fixtures import bongartz_e, load_fixture
 from stringalg.quiver import QuiverError, parse_quiver, validate_string_algebra
-from stringalg.words import canonical_band, word_from_text
+from stringalg.words import canonical_band, enumerate_bands, word_from_text
 
 
 def test_one_vertex_census():
@@ -85,6 +85,21 @@ def test_unique_brick_band_scan(loops_barbell, windwheel):
     expected = canonical_band(word_from_text(loops_barbell, "theta gamma- theta- alpha-"))
     assert scan == [expected]
     assert unique_brick_band_scan(windwheel, 2 * len(windwheel.arrows), 2) == []
+
+
+@pytest.mark.parametrize("m_max", [0, -1])
+def test_brick_scans_reject_an_empty_range_of_exponents(m_max):
+    # an empty range would make all() pass every band; this band has no
+    # brick rotation even at m_max = 1
+    q = load_fixture("bongartz_ag_1_1")
+    (band,) = enumerate_bands(q, 8)
+    assert brick_rotation(band, 1) is None
+    assert unique_brick_band_scan(q, 8, 1) == []
+    with pytest.raises(QuiverError, match="m_max must be at least 1"):
+        brick_rotation(band, m_max)
+    for p in (q, load_fixture("linear_a5")):  # with and without a band
+        with pytest.raises(QuiverError, match="m_max must be at least 1"):
+            unique_brick_band_scan(p, 8, m_max)
 
 
 def test_full_cycle_band_qualifies_on_small_cycle():

@@ -137,6 +137,14 @@ def test_tau_verdicts(name, verdict):
     assert tau_finiteness(load_fixture(name)).value == verdict
 
 
+@pytest.mark.parametrize("name", ["linear_a5", "bongartz_ag_1_1", "a9", "zero_bar_gb"])
+def test_tau_rejects_m_max_below_one_on_every_path(name):
+    # checked up front, not only once a brick family is built
+    for m_max in (0, -1):
+        with pytest.raises(QuiverError, match="m_max must be at least 1"):
+            tau_finiteness(load_fixture(name), m_max=m_max)
+
+
 def test_tau_infinite_witness_reverifies(corpus):
     v = tau_finiteness(corpus["zero_bar_gb"])
     assert v.value == "Infinite"

@@ -172,6 +172,16 @@ def test_census_brick_bands_are_the_listed_bands_up_to_max_len(capsys):
         assert report["brick_bands"] == bands
 
 
+def test_census_m_max_zero_scans_no_band_and_one_finds_no_brick_band(capsys):
+    # bongartz_ag_1_1's one band has no rotation that is a brick
+    assert main(["census", "fixture:bongartz_ag_1_1", "--max-len", "8", "--m-max", "0"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["census"]["bands"] == ["beta1- alpha1"]
+    assert "brick_bands" not in report
+    assert main(["census", "fixture:bongartz_ag_1_1", "--max-len", "8", "--m-max", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["brick_bands"] == []
+
+
 def test_fixture_scheme_and_in_process_entry_point(capsys):
     assert main(["--format", "text", "classify", "fixture:barbell_a9"]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "Barbell"
@@ -222,6 +232,10 @@ def test_worker_env_accepted_and_rejected(tmp_path):
         (["tau", "fixture:lambda3", "--m-max", "0"], "m_max must be at least 1"),
         (["tau", "fixture:lambda3", "--budget", "-1"], "budget must be at least 0"),
         (["bands", "fixture:lambda3", "--max-len", "-1"], "max_len must be at least 0"),
+        # a band-free algebra used to answer Finite before m_max was checked
+        (["tau", "fixture:linear_a5", "--m-max", "0"], "m_max must be at least 1"),
+        # an empty range of exponents used to pass every band
+        (["census", "fixture:bongartz_ag_1_1", "--max-len", "8", "--m-max", "-1"], "m_max must be at least 0"),
     ],
 )
 def test_bad_arguments_are_input_errors(argv, message, capsys):

@@ -4,10 +4,24 @@ from fractions import Fraction
 
 import pytest
 
+from stringalg.census import brick_rotation
 from stringalg.graphmaps import hom_dim
-from stringalg.oracle import _rank_bareiss, end_dim_linear, hom_dim_linear
-from stringalg.quiver import QuiverError
-from stringalg.words import enumerate_strings, lazy_word, string_module, word_from_text
+from stringalg.oracle import (
+    SANITY_PRIME,
+    _intertwiner_matrix,
+    _rank_bareiss,
+    end_dim_linear,
+    hom_dim_linear,
+)
+from stringalg.quiver import QuiverError, parse_quiver, validate_string_algebra
+from stringalg.words import (
+    Representation,
+    enumerate_bands,
+    enumerate_strings,
+    lazy_word,
+    string_module,
+    word_from_text,
+)
 
 
 def test_bareiss_rank_small_cases():
@@ -137,3 +151,43 @@ def test_shape_mismatch_is_rejected(lambda2, lambda3):
     v = string_module(lazy_word(lambda3, "1"))
     with pytest.raises(QuiverError):
         hom_dim_linear(u, v)
+
+
+def test_end_dimension_agrees_with_the_rational_rank(corpus):
+    # End(M) is decided mod 32003 first when the corank there is 1; the
+    # rational rank and the sanity mode must give the same dimension
+    seen = set()
+    for q in corpus.values():
+        if not validate_string_algebra(q).holds:
+            continue
+        words = list(enumerate_strings(q, 6))
+        for b in enumerate_bands(q):
+            w = brick_rotation(b, 3)
+            if w is not None:
+                words += [w.power(m) for m in (1, 2, 3)]
+        for w in words:
+            M = string_module(w)
+            rows, nvars = _intertwiner_matrix(M, M)
+            dim = end_dim_linear(M)
+            assert dim == nvars - _rank_bareiss(rows), w.render()
+            assert dim == end_dim_linear(M, sanity=True), w.render()
+            seen.add(dim == 1)
+    assert seen == {True, False}  # both the shortcut and the fall-through ran
+
+
+def test_end_shortcut_when_the_prime_divides_an_entry():
+    q = parse_quiver("quiver one_arrow\nvertices: x y\narrow a: x -> y\n")
+    # End(U) is 1-dimensional over Q, but every equation vanishes mod p
+    U = Representation(q, {"x": 1, "y": 1}, {"a": [[SANITY_PRIME]]})
+    rows, nvars = _intertwiner_matrix(U, U)
+    assert nvars - _rank_bareiss(rows, SANITY_PRIME) == 2
+    assert end_dim_linear(U) == 1
+    with pytest.raises(ArithmeticError):
+        end_dim_linear(U, sanity=True)
+    # Hom(A, B) = 0 over Q, while the modular corank is 1: applying the
+    # End shortcut to distinct modules would answer 1
+    A = Representation(q, {"x": 1, "y": 0}, {"a": []})
+    B = Representation(q, {"x": 1, "y": 1}, {"a": [[SANITY_PRIME]]})
+    rows, nvars = _intertwiner_matrix(A, B)
+    assert nvars - _rank_bareiss(rows, SANITY_PRIME) == 1
+    assert hom_dim_linear(A, B) == 0
