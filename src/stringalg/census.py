@@ -214,7 +214,7 @@ def barbell_brick_family(q: BoundQuiver, label, m_max: int = 4) -> BrickFamilyWi
         if w is None:
             raise QuiverError("no brick rotation of the cycle band; recognizer bug")
         construction = "HereditaryAn"
-    elif label.value == "Barbell" or (label.value == "GeneralizedBarbell" and len(detail["bar"])):
+    elif label.value == "Barbell":
         w = _positive_bar_family(detail)
         construction = "BarbellStandard"
     elif label.value == "GeneralizedBarbell":

@@ -359,20 +359,6 @@ class TauVerdict:
         return {"verdict": self.value, "witness": self.witness, "trace": list(self.trace)}
 
 
-def _family_witness(q: BoundQuiver, label: ClassLabel, m_max: int) -> dict:
-    from .census import barbell_brick_family
-
-    fam = barbell_brick_family(q, label, m_max)
-    return {
-        "kind": "brick-family",
-        "algebra": q.name,
-        "label": label.value,
-        "band": fam.band.render(),
-        "verified_exponents": list(fam.verified_exponents),
-        "construction": fam.construction,
-    }
-
-
 def _census_witness(q: BoundQuiver) -> dict:
     from .census import brick_census
 
@@ -393,21 +379,36 @@ def _census_witness(q: BoundQuiver) -> dict:
 def _reduced_family_witness(q: BoundQuiver, m_max: int) -> dict:
     """Brick-family witness on the smallest full reduction of a
     representation-infinite gentle algebra."""
-    outs = fully_reduce(q)
-    outs.sort(key=lambda t: (len(t[0].vertices), len(t[0].arrows), t[0].name))
-    red, _ = outs[0]
-    return _family_witness(red, classify_node_free(red), m_max)
+    from .census import barbell_brick_family
+
+    red, _ = min(fully_reduce(q), key=lambda t: (len(t[0].vertices), len(t[0].arrows), t[0].name))
+    label = classify_node_free(red)
+    fam = barbell_brick_family(red, label, m_max)
+    return {
+        "kind": "brick-family",
+        "algebra": red.name,
+        "label": label.value,
+        "band": fam.band.render(),
+        "verified_exponents": list(fam.verified_exponents),
+        "construction": fam.construction,
+    }
 
 
-def tau_finiteness(q: BoundQuiver, m_max: int = 3, budget: int = 64) -> TauVerdict:
+def tau_finiteness(q: BoundQuiver, m_max: int = 3) -> TauVerdict:
     """Decision cascade for tau-tilting finiteness of a special biserial
-    algebra.  Witnesses re-verify: brick families are checked through graph
-    maps and the linear-algebra oracle, finiteness through a bounded census.
+    algebra, on its monomial form:
+
+    1. no band: ``Finite``;
+    2. gentle: ``Infinite`` by a brick family on a full reduction, checked
+       through graph maps and the linear-algebra oracle (hereditary and
+       barbell labels are gentle, so they land here);
+    3. ``WindWheel`` or ``Nody``: ``Finite`` by a bounded census;
+    4. a band reduction with a representation-infinite gentle component:
+       ``Infinite``, as in step 2;
+    5. otherwise ``Unknown``.
     """
     if m_max < 1:
         raise QuiverError(f"m_max must be at least 1, got {m_max}")
-    if budget < 0:
-        raise QuiverError(f"budget must be at least 0, got {budget}")
     if not validate_special_biserial(q).holds:
         raise QuiverError("tau-finiteness expects a special biserial algebra")
     trace = []
@@ -425,14 +426,11 @@ def tau_finiteness(q: BoundQuiver, m_max: int = 3, budget: int = 64) -> TauVerdi
         trace.append("gentle with a band: infinite via full reduction")
         return TauVerdict(INFINITE, _reduced_family_witness(q0, m_max), tuple(trace))
     label = classify_mri_sb(q0)
-    if label.value in (HEREDITARY_AN, BARBELL):
-        trace.append(f"classified {label.value}: brick family")
-        return TauVerdict(INFINITE, _family_witness(q0, label, m_max), tuple(trace))
     if label.value in (WIND_WHEEL, NODY):
         trace.append(f"classified {label.value}: brick-finite")
         return TauVerdict(FINITE, _census_witness(q0), tuple(trace))
     tried = []
-    for band in enumerate_bands(q0)[:budget]:
+    for band in enumerate_bands(q0):
         r = reduce(q0, band)
         if r.structure_key() == q0.structure_key():
             continue
@@ -441,11 +439,7 @@ def tau_finiteness(q: BoundQuiver, m_max: int = 3, budget: int = 64) -> TauVerdi
             if validate_gentle(comp).holds and band_exists(comp):
                 trace.append(f"band reduction {band.render()} is rep-infinite gentle")
                 return TauVerdict(INFINITE, _reduced_family_witness(comp, m_max), tuple(trace))
-            sub = classify_mri_sb(comp) if validate_string_algebra(comp).holds else None
-            if sub is not None and sub.value in (HEREDITARY_AN, BARBELL):
-                trace.append(f"band reduction {band.render()} is {sub.value}")
-                return TauVerdict(INFINITE, _family_witness(comp, sub, m_max), tuple(trace))
-    trace.append("no witness found within budget")
+    trace.append("no witness found")
     return TauVerdict(UNKNOWN, {"kind": "attempted", "reductions": tried}, tuple(trace))
 
 

@@ -215,13 +215,13 @@ def cmd_fully_reduce(args) -> int:
     return EXIT_OK
 
 
-def _class_report(q, m_max: int = 3, budget: int = 64) -> dict:
+def _class_report(q, m_max: int = 3) -> dict:
     """Combined label + tau verdict document shared by classify and tau."""
     if nodes(q) or not validate_string_algebra(q).holds:
         label = classify_mri_sb(q)
     else:
         label = classify_node_free(q)
-    verdict = tau_finiteness(q, m_max=m_max, budget=budget)
+    verdict = tau_finiteness(q, m_max=m_max)
     return {"classification": label.to_json(), "tau": verdict.to_json()}
 
 
@@ -238,7 +238,7 @@ def cmd_classify(args) -> int:
 
 def cmd_tau(args) -> int:
     q, text = _load(args.quiver)
-    payload = _class_report(q, m_max=args.m_max, budget=args.budget)
+    payload = _class_report(q, m_max=args.m_max)
     _emit(args, _report(args, payload, text), [payload["tau"]["verdict"]])
     if args.strict and payload["tau"]["verdict"] == "Unknown":
         return EXIT_VERDICT
@@ -356,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("tau", cmd_tau, help="tau-tilting finiteness verdict")
     sp.add_argument("quiver")
     sp.add_argument("--m-max", type=int, default=3)
-    sp.add_argument("--budget", type=int, default=64)
     sp = add("gorenstein", cmd_gorenstein, help="homological report for gentle algebras")
     sp.add_argument("quiver")
     sp = add("xcheck", cmd_xcheck, help="graph maps vs linear-algebra oracle")

@@ -88,10 +88,10 @@ class BoundQuiver:
         self.vertices = tuple(vertices)
         self.arrows = tuple(arrows)
         self.relations = tuple(relations)
+        self.arrow_by_name = {a.name: a for a in self.arrows}
         self._validate()
         self.vertex_index = {v: i for i, v in enumerate(self.vertices)}
         self.arrow_index = {a.name: i for i, a in enumerate(self.arrows)}
-        self.arrow_by_name = {a.name: a for a in self.arrows}
         self._outgoing: dict[str, list[Arrow]] = {v: [] for v in self.vertices}
         self._incoming: dict[str, list[Arrow]] = {v: [] for v in self.vertices}
         for a in self.arrows:
@@ -108,13 +108,19 @@ class BoundQuiver:
         names = [a.name for a in self.arrows]
         if len(set(names)) != len(names):
             raise QuiverError(f"duplicate arrow name in quiver {self.name!r}")
+        for n in (*self.vertices, *names):
+            if n.split() != [n]:
+                raise QuiverError(f"name {n!r} is empty or contains whitespace")
+        for n in names:
+            if n.endswith("-"):
+                raise QuiverError(f"arrow name {n!r} ends in '-', which marks an inverse letter")
         vs = set(self.vertices)
         if vs & set(names):
             raise QuiverError("vertex and arrow names must be disjoint")
         for a in self.arrows:
             if a.src not in vs or a.tgt not in vs:
                 raise QuiverError(f"arrow {a.name!r} references a missing vertex")
-        by_name = {a.name: a for a in self.arrows}
+        by_name = self.arrow_by_name
         for r in self.relations:
             for path in (r.path1,) + ((r.path2,) if r.kind == COMMUTATIVITY else ()):
                 if len(path) < 2:

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings
 
 from stringalg.classify import (
     BARBELL,
@@ -14,12 +15,24 @@ from stringalg.classify import (
     is_weakly_minimal_rep_infinite,
     tau_finiteness,
 )
+from stringalg.cli import main
 from stringalg.fixtures import load_fixture
-from stringalg.quiver import QuiverError, nodes
-from stringalg.transforms import resolve_nodes, trim, weak_reduce
+from stringalg.quiver import (
+    QuiverError,
+    is_finite_dimensional,
+    monomialize,
+    nodes,
+    parse_quiver,
+    validate_gentle,
+    validate_special_biserial,
+    validate_string_algebra,
+)
+from stringalg.transforms import reduce, resolve_nodes, trim, weak_reduce
 from stringalg.words import enumerate_bands, string_module, word_from_text
 from stringalg.graphmaps import is_brick
 from stringalg.oracle import end_dim_linear
+
+from test_step_table import special_quivers
 
 
 def test_classify_barbell_stage_one():
@@ -167,6 +180,55 @@ def test_tau_finite_witness_is_stabilized(corpus):
     assert v.witness["kind"] == "census-stabilization"
     assert v.witness["stabilized"] is True
     assert v.witness["bricks_in_window"] == 0
+
+
+def _check_hereditary_and_barbell_labels_are_gentle(q):
+    """``tau_finiteness`` has no arm for these labels: it relies on its
+    gentle step answering first, on ``q`` and on every band reduction."""
+    q0 = monomialize(q)
+    if not validate_string_algebra(q0).holds:
+        return
+    pending = [q0] + [comp for b in enumerate_bands(q0) for comp in reduce(q0, b).components()]
+    for p in pending:
+        if validate_special_biserial(p).holds and classify_mri_sb(p).value in (HEREDITARY_AN, BARBELL):
+            assert validate_gentle(p).holds, p.to_text()
+
+
+def test_hereditary_and_barbell_labels_are_gentle_on_the_corpus(corpus):
+    for q in corpus.values():
+        _check_hereditary_and_barbell_labels_are_gentle(q)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(special_quivers())
+def test_hereditary_and_barbell_labels_are_gentle_on_random_quivers(q):
+    if is_finite_dimensional(q):
+        _check_hereditary_and_barbell_labels_are_gentle(q)
+
+
+_UNKNOWN = """quiver unknown
+vertices: v0 v1
+arrow a0: v0 -> v1
+arrow a1: v1 -> v0
+arrow a2: v0 -> v0
+rel a1 a0
+rel a2 a0
+rel a2 a2
+"""
+
+
+def test_tau_unknown_when_no_step_decides(tmp_path, capsys):
+    # not gentle, labelled Other, and no band reduction leaves a
+    # representation-infinite gentle component
+    v = tau_finiteness(parse_quiver(_UNKNOWN))
+    assert v.value == "Unknown"
+    assert v.witness == {"kind": "attempted", "reductions": []}
+    assert v.trace == ("no witness found",)
+    path = tmp_path / "unknown.quiver"
+    path.write_text(_UNKNOWN)
+    assert main(["tau", "--strict", str(path)]) == 1
+    assert main(["tau", str(path)]) == 0
+    capsys.readouterr()
 
 
 def test_nodes_are_exactly_the_degree_four_vertices(corpus):

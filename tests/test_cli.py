@@ -230,7 +230,7 @@ def test_worker_env_accepted_and_rejected(tmp_path):
         (["census", "fixture:lambda3", "--window", "-2"], "window_lo must be at least 0"),
         (["strings", "fixture:lambda3", "--max-len", "-1"], "max_len must be at least 0"),
         (["tau", "fixture:lambda3", "--m-max", "0"], "m_max must be at least 1"),
-        (["tau", "fixture:lambda3", "--budget", "-1"], "budget must be at least 0"),
+        (["reduce", "fixture:lambda3", "--band", "-1"], "band index -1 out of range"),
         (["bands", "fixture:lambda3", "--max-len", "-1"], "max_len must be at least 0"),
         # a band-free algebra used to answer Finite before m_max was checked
         (["tau", "fixture:linear_a5", "--m-max", "0"], "m_max must be at least 1"),
@@ -253,8 +253,19 @@ def test_bad_arguments_are_input_errors(argv, message, capsys):
         None,
         "quiver caf\xe9\nvertices: x\n".encode("latin-1"),
         b"quiver bad\nvertices: a b\narrow a -> b: x\n",
+        # names the word syntax could not read back
+        b"quiver bad\nvertices: a b\narrow : a -> b\n",
+        b"quiver bad\nvertices: a b\narrow x y: a -> b\n",
+        b"quiver bad\nvertices: a b\narrow x-: a -> b\narrow x: b -> a\n",
     ],
-    ids=["directory", "not-utf8", "colon-after-arrow"],
+    ids=[
+        "directory",
+        "not-utf8",
+        "colon-after-arrow",
+        "empty-arrow-name",
+        "space-in-arrow-name",
+        "arrow-name-ends-in-minus",
+    ],
 )
 def test_unreadable_input_is_an_input_error(content, tmp_path, capsys):
     path = tmp_path

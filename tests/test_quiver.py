@@ -50,6 +50,22 @@ def test_parse_rejects_duplicates_and_dangling():
         parse_quiver("quiver d\nvertices: 1\narrow a: 1 -> 2\n")
 
 
+@pytest.mark.parametrize(
+    "vertices, arrows, message",
+    [
+        # vertex names the parser cannot produce, but the library can
+        (["a\tb"], [], "empty or contains whitespace"),
+        ([""], [], "empty or contains whitespace"),
+        # "x x-" would read back as x followed by the inverse of x
+        (["a", "b"], [Arrow("x-", "a", "b"), Arrow("x", "b", "a")], "ends in '-'"),
+    ],
+    ids=["tab-in-vertex", "empty-vertex", "arrow-ends-in-minus"],
+)
+def test_names_the_word_syntax_cannot_read_back_are_rejected(vertices, arrows, message):
+    with pytest.raises(QuiverError, match=message):
+        BoundQuiver("bad", vertices, arrows)
+
+
 def test_parse_rejects_colon_after_arrow():
     text = "quiver bad\nvertices: a b\narrow a -> b: x\n"
     with pytest.raises(ParseError, match="^line 3: expected 'arrow"):
