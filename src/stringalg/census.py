@@ -11,7 +11,7 @@ from .quiver import (
     BoundQuiver,
     QuiverError,
     _extend,
-    _inverse_codes,
+    _step_window,
     _steps,
     validate_string_algebra,
 )
@@ -52,13 +52,16 @@ def brick_census(q: BoundQuiver, max_len: int, window_lo: int | None = None) -> 
 
     ``stabilized`` records that no brick occurs with length in
     ``(window_lo, max_len]``; it is false when that window is empty, since
-    then nothing was checked.  Band classes are listed separately; band
-    modules are not counted as bricks here.
+    then nothing was checked, and ``window_lo`` above ``max_len`` is an
+    error.  Band classes are listed separately; band modules are not
+    counted as bricks here.
     """
     if max_len < 0:
         raise QuiverError(f"max_len must be at least 0, got {max_len}")
     if window_lo is not None and window_lo < 0:
         raise QuiverError(f"window_lo must be at least 0, got {window_lo}")
+    if window_lo is not None and window_lo > max_len:
+        raise QuiverError(f"window_lo must be at most max_len ({max_len}), got {window_lo}")
     if not validate_string_algebra(q).holds:
         raise QuiverError("census expects a string algebra")
     bands = enumerate_bands(q, max_len)
@@ -75,95 +78,127 @@ def brick_census(q: BoundQuiver, max_len: int, window_lo: int | None = None) -> 
 def _census_counts(q: BoundQuiver, max_len: int) -> tuple[list[int], list[int]]:
     """Canonical strings and bricks of each length up to ``max_len``.
 
-    One depth-first walk over the code walks of both orientations, as in
-    ``enumerate_strings``; a string is counted when it is the smaller of
-    itself and its inverse.  Each entry carries the state of its string
-    ``c`` of length ``n``:
+    Strings are counted without building them: every non-empty string
+    differs from its inverse (see ``words._is_canonical``), so the canonical
+    strings of length ``n`` are half the code walks of length ``n`` that pass
+    the step rule, counted length by length over their windows (see
+    ``quiver._step_window``).
 
-    - ``suf[i]``, the trie node of the suffix ``c[i:]`` for ``i = 0..n``
-      (``suf[n]`` is the root of the end vertex).  The trie, one per
-      census, maps ``(node, code)`` to the node of the word one code
-      longer; a node's key is the class id of its word up to inversion,
-      and a root's key is its vertex, the key of a lazy middle;
-    - ``qs`` and ``ss``, the positions ``0 < i <= n`` where a quotient or a
+    Bricks are found by one depth-first walk over the code walks of both
+    orientations, as in ``enumerate_strings``; a brick is counted when its
+    string is the smaller of itself and its inverse.  Each entry carries the state
+    of its string ``c`` of length ``n``, as known at its parent:
+
+    - ``suf[i]``, the trie node of the suffix ``c[i:n-1]`` for
+      ``i = 0..n-1`` (``suf[n-1]`` is the root of the vertex where the last
+      code starts).  The trie, one per census, maps ``(node, code)`` to the
+      node of the word one code longer.  A node's key names the class of
+      its word up to inversion: it is the handle of the class's first node.
+      A root, the node of a lazy middle, is its own key.  Each node points
+      to its twin, the node of its inverse word, once both exist; a root
+      is its own twin;
+    - ``qs`` and ``ss``, the positions ``0 < i < n`` where a quotient or a
       submodule middle may start (after an inverse or a direct code);
     - ``qi`` and ``si``, the keys of the quotient and submodule middles
-      that end before ``n``: shared sets, never mutated.
+      that end before ``n - 1``: shared sets, never mutated.
 
-    Extending ``c`` by ``y`` turns the middles ending at ``n`` into inner
-    middles of ``c + (y,)``: quotient ones if ``y`` is direct, submodule
-    ones if it is inverse.  A string is a brick iff no quotient middle
-    other than the full one has the key of a submodule middle other than
-    the full one, the test of ``graphmaps._is_brick_string``.  ``qi`` and
-    ``si`` only grow down the tree, so once they meet, the string and its
-    whole subtree are non-bricks, and the subtree is counted without keys.
+    The last code ``y`` turns the middles ending at ``n - 1`` into inner
+    middles of ``c``: quotient ones if ``y`` is direct, submodule ones if it
+    is inverse.  A string is a brick iff no quotient middle other than the
+    full one has the key of a submodule middle other than the full one, the
+    test of ``graphmaps._is_brick_string``.  ``qi`` and ``si`` only grow down
+    the tree, so once they meet, the string and its whole subtree are
+    non-bricks, and the walk skips them.
+
+    The trie holds every factor of the words it holds, so the new nodes of
+    a string are those of its longest suffixes, and a new node's twin is
+    one code on from the twin of its tail: the inverse of ``c[i:]`` is the
+    inverse of ``c[i+1:]`` followed by ``c[i] ^ 1``.  A node takes its
+    twin's key, or a key of its own when it has no twin yet.
     """
-    strings = [0] * (max_len + 1)
+    strings = _string_counts(q, max_len)
     bricks = [0] * (max_len + 1)
-    strings[0] = bricks[0] = len(q.vertices)  # lazy modules are simple
+    bricks[0] = len(q.vertices)  # lazy modules are simple
     if not max_len:
         return strings, bricks
     steps = _steps(q)
     width = 2 * len(q.arrows)
     # node k has handle k * width, so (node, code) is the int handle + code;
-    # nodes 0..|Q0|-1 are the roots, keyed by their vertex index
+    # nodes 0..|Q0|-1 are the roots, one per vertex in vertex order
     root = [q.vertex_index[v] * width for v in steps.ends]  # at each code's end
     child: dict[int, int] = {}
     get = child.get
-    key = list(range(len(q.vertices)))
-    classes: dict[tuple[int, ...], int] = {}  # each oriented word -> its class id
-
-    def node(word: tuple[int, ...]) -> int:
-        cid = classes.get(_inverse_codes(word))
-        if cid is None:
-            cid = len(q.vertices) + len(classes)  # grows with every new word
-        classes[word] = cid
-        key.append(cid)
-        return (len(key) - 1) * width
+    key = {k * width: k * width for k in range(len(q.vertices))}
+    twin: dict[int, int | None] = dict(key)
 
     empty: frozenset[int] = frozenset()
-    frontier: list = [((x,), ((root[x ^ 1],), (), (), empty, empty)) for x in range(width)]
+    frontier: list = [((x,), (root[x ^ 1],), (), (), empty, empty) for x in range(width)]
     while frontier:
-        c, state = frontier.pop()
+        c, suf, qs, ss, qi, si = frontier.pop()
         n = len(c)
         canonical = _is_canonical(c)
-        strings[n] += canonical
         leaf = n == max_len
-        if state is None or (leaf and not canonical):
-            if not leaf:  # inside a non-brick subtree
-                frontier += [(e, None) for e in _extend(steps, c)]
+        if leaf and not canonical:
             continue
-        suf, qs, ss, qi, si = state
         y = c[-1]
-        t = [get(h + y) for h in suf]
-        if leaf:
-            t[0] = 0  # the full word is a middle of no counted string
-        if None in t:
-            for i, h in enumerate(suf):
-                if t[i] is None:
-                    t[i] = child[h + y] = node(c[i:])
-        t.append(root[y])
         # the middles ending at n - 1, (0, n - 1) among them, are now inner
         if y & 1:
-            new = {key[suf[i] // width] for i in ss}
-            new.add(key[suf[0] // width])
-            dead = not qi.isdisjoint(new)
+            new = {key[suf[i]] for i in ss}
+            new.add(key[suf[0]])
+            if not qi.isdisjoint(new):
+                continue
             si = si | new
             qs += (n,)
         else:
-            new = {key[suf[i] // width] for i in qs}
-            new.add(key[suf[0] // width])
-            dead = not si.isdisjoint(new)
+            new = {key[suf[i]] for i in qs}
+            new.add(key[suf[0]])
+            if not si.isdisjoint(new):
+                continue
             qi = qi | new
             ss += (n,)
-        if canonical and not dead:
-            qe = {key[t[i] // width] for i in qs}
-            se = {key[t[i] // width] for i in ss}
+        t = [get(h + y) for h in suf]
+        t.append(root[y])
+        if leaf:
+            t[0] = 0  # the full word is a middle of no counted string
+        # the new nodes are those of the longest suffixes; shortest first
+        for i in range(leaf + t.count(None) - 1, leaf - 1, -1):
+            h = t[i] = child[suf[i] + y] = len(key) * width
+            tw = twin[t[i + 1]]
+            if tw is not None:
+                tw = get(tw + (c[i] ^ 1))
+            twin[h] = tw
+            if tw is None:
+                key[h] = h
+            else:
+                key[h] = key[tw]
+                twin[tw] = h
+        if canonical:
+            qe = {key[t[i]] for i in qs}
+            se = {key[t[i]] for i in ss}
             bricks[n] += qe.isdisjoint(se) and qe.isdisjoint(si) and se.isdisjoint(qi)
         if not leaf:
-            state = None if dead else (t, qs, ss, qi, si)
-            frontier += [(e, state) for e in _extend(steps, c)]
+            frontier += [(e, t, qs, ss, qi, si) for e in _extend(steps, c)]
     return strings, bricks
+
+
+def _string_counts(q: BoundQuiver, max_len: int) -> list[int]:
+    """Canonical strings of each length up to ``max_len``: half the code
+    walks that pass the step rule, counted per window."""
+    strings = [len(q.vertices)] + [0] * max_len
+    steps = _steps(q)
+    moves: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    layer = {(x,): 1 for x in range(2 * len(q.arrows))}  # walks of length n by window
+    for n in range(1, max_len + 1):
+        if n > 1:
+            grown: dict[tuple[int, ...], int] = {}
+            for s, k in layer.items():
+                if s not in moves:
+                    moves[s] = _step_window(steps, s)
+                for t in moves[s]:
+                    grown[t] = grown.get(t, 0) + k
+            layer = grown
+        strings[n] = sum(layer.values()) // 2
+    return strings
 
 
 @dataclass

@@ -368,21 +368,30 @@ def _extend(steps: _Steps, c: tuple[int, ...]) -> list[tuple[int, ...]]:
     return [e for e in grown if _step_ok(steps, e, k)]
 
 
+def _step_window(steps: _Steps, s: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The windows one code on from the window ``s``, in ``succ`` order.
+
+    The window of a string is its last ``w`` codes (all of them if it is
+    shorter), ``w`` one less than the longest relation (at least 1): all
+    that ``_step_ok`` reads of the past.  So which codes may follow a string
+    depends on its window alone.
+    """
+    w = max(steps.lengths, default=2) - 1
+    return [e[-w:] for e in _extend(steps, s)]
+
+
 def _has_cycle(steps: _Steps, codes: Sequence[int]) -> bool:
     """Whether a walk that uses only ``codes`` and passes the rule at every
     step can go on for ever.
 
-    A state is the last ``w`` codes of such a walk, ``w`` one less than the
-    longest relation (at least 1): all that ``_step_ok`` reads of the past.
-    There are finitely many states, so an endless walk exists iff the states
-    close a cycle, found by one iterative colour DFS (1: on the path, 2:
-    done).
+    A state is a window (see ``_step_window``).  There are finitely many,
+    so an endless walk exists iff the states close a cycle, found by one
+    iterative colour DFS (1: on the path, 2: done).
     """
-    w = max(steps.lengths, default=2) - 1
     allowed = frozenset(codes)
 
     def moves(s: tuple[int, ...]) -> list[tuple[int, ...]]:
-        return [e[-w:] for e in _extend(steps, s) if e[-1] in allowed]
+        return [t for t in _step_window(steps, s) if t[-1] in allowed]
 
     colour: dict[tuple[int, ...], int] = {}
     for x in codes:

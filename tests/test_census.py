@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stringalg.census import (
     barbell_brick_family,
@@ -13,6 +14,8 @@ from stringalg.fixtures import bongartz_e, load_fixture
 from stringalg.quiver import QuiverError, parse_quiver, validate_string_algebra
 from stringalg.words import canonical_band, enumerate_bands, word_from_text
 
+from test_step_table import special_quivers
+
 
 def test_one_vertex_census():
     q = parse_quiver("quiver one\nvertices: x\n")
@@ -22,6 +25,14 @@ def test_one_vertex_census():
     # no band: the default window (5, 5] is empty, so nothing was checked
     assert not report.stabilized
     assert brick_census(q, 5, window_lo=0).stabilized
+
+
+def test_census_rejects_an_inverted_window(lambda3):
+    with pytest.raises(QuiverError, match="window_lo must be at most max_len"):
+        brick_census(lambda3, 4, window_lo=9)
+    # an empty window is allowed; it checks nothing
+    report = brick_census(lambda3, 4, window_lo=4)
+    assert report.window_lo == 4 and not report.stabilized
 
 
 def test_double_cycle_census_stabilizes():
@@ -189,3 +200,13 @@ def test_census_kernel_agrees_with_public_is_brick_on_tau_windows(build, max_len
     expected = _public_counts(q, max_len)
     assert got == expected
     assert sum(b for _, b in expected.values()) > len(q.vertices)  # not only lazy bricks
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(special_quivers(), st.integers(min_value=0, max_value=8))
+def test_census_kernel_agrees_with_public_is_brick_on_random_quivers(q, max_len):
+    # infinite-dimensional algebras, which the corpus lacks, and random mixes
+    # of loops and length-3 relations: they exercise the window counts and
+    # the twin pointers
+    got = {l: list(v) for l, v in brick_census(q, max_len).per_length.items()}
+    assert got == _public_counts(q, max_len), q.to_text()

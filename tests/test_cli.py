@@ -236,6 +236,8 @@ def test_worker_env_accepted_and_rejected(tmp_path):
         (["tau", "fixture:linear_a5", "--m-max", "0"], "m_max must be at least 1"),
         # an empty range of exponents used to pass every band
         (["census", "fixture:bongartz_ag_1_1", "--max-len", "8", "--m-max", "-1"], "m_max must be at least 0"),
+        # an inverted window used to be reported as checked nothing
+        (["census", "fixture:lambda3", "--max-len", "4", "--window", "9"], "window_lo must be at most max_len"),
     ],
 )
 def test_bad_arguments_are_input_errors(argv, message, capsys):
