@@ -7,6 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .census import _check_m_max, barbell_brick_family, brick_census
 from .quiver import (
     BoundQuiver,
     QuiverError,
@@ -288,9 +289,9 @@ def classify_mri_sb(q: BoundQuiver) -> ClassLabel:
             return ClassLabel(OTHER, label.detail, notes=("zero-length bar",))
         return label
     resolved, _ = resolve_nodes(q)
-    if isinstance(resolved, list):
+    if len(resolved) > 1:
         return ClassLabel(OTHER, notes=("node resolution disconnects",))
-    sub = classify_node_free(resolved)
+    sub = classify_node_free(resolved[0])
     ok = sub.value in (HEREDITARY_AN, WIND_WHEEL) or (
         sub.value == BARBELL and not sub.detail.get("bar_serial")
     )
@@ -360,8 +361,6 @@ class TauVerdict:
 
 
 def _census_witness(q: BoundQuiver) -> dict:
-    from .census import brick_census
-
     band_len = max((b.length() for b in enumerate_bands(q)), default=1)
     # no band is longer than the census bound, so the census meets the
     # longest band and its default window is the last band length
@@ -379,8 +378,6 @@ def _census_witness(q: BoundQuiver) -> dict:
 def _reduced_family_witness(q: BoundQuiver, m_max: int) -> dict:
     """Brick-family witness on the smallest full reduction of a
     representation-infinite gentle algebra."""
-    from .census import barbell_brick_family
-
     red, _ = min(fully_reduce(q), key=lambda t: (len(t[0].vertices), len(t[0].arrows), t[0].name))
     label = classify_node_free(red)
     fam = barbell_brick_family(red, label, m_max)
@@ -407,8 +404,7 @@ def tau_finiteness(q: BoundQuiver, m_max: int = 3) -> TauVerdict:
        ``Infinite``, as in step 2;
     5. otherwise ``Unknown``.
     """
-    if m_max < 1:
-        raise QuiverError(f"m_max must be at least 1, got {m_max}")
+    _check_m_max(m_max)
     if not validate_special_biserial(q).holds:
         raise QuiverError("tau-finiteness expects a special biserial algebra")
     trace = []

@@ -4,6 +4,11 @@ Subcommands cover validation, string/band/brick enumeration, Hom bases,
 censuses, the surgeries, classification and tau-tilting verdicts, plus the
 graph-map vs linear-algebra cross check.  Every JSON report embeds the
 sha256 of the input text and the tool version; reruns are byte-identical.
+
+Each ``cmd_*`` takes the loaded quiver and the parsed arguments and returns
+``(payload, lines, failed)``: the report body, its ``--format text`` lines
+and whether a verdict failed.  ``main`` alone loads, stamps, emits and
+chooses the exit status.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import os
 import sys
 
 from . import __version__
-from .census import brick_census, brick_rotation
+from .census import brick_census, unique_brick_band_scan
 from .classify import classify_mri_sb, classify_node_free, gentle_hom_report, tau_finiteness
 from .fixtures import fixture_names, load_fixture
 from .graphmaps import admissible_pairs, is_brick
@@ -43,19 +48,6 @@ EXIT_VERDICT = 1
 EXIT_INPUT = 2
 
 
-def _worker_count() -> int:
-    # accepted for compatibility; execution is sequential and canonical, so
-    # any worker count produces identical reports
-    raw = os.environ.get("STRINGALG_WORKERS", "1")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise QuiverError(f"STRINGALG_WORKERS must be an integer, got {raw!r}") from exc
-    if n < 1:
-        raise QuiverError("STRINGALG_WORKERS must be at least 1")
-    return n
-
-
 def _load(path: str) -> tuple[BoundQuiver, str]:
     if path.startswith("fixture:"):
         q = load_fixture(path[len("fixture:") :])
@@ -68,21 +60,16 @@ def _load(path: str) -> tuple[BoundQuiver, str]:
     return parse_quiver(text), text
 
 
-def _report(args, payload: dict, text: str) -> dict:
-    return {
-        "tool": "stringalg",
-        "version": __version__,
-        "input_sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
-        "subcommand": args.cmd,
-        **payload,
-    }
-
-
-def _emit(args, report: dict, lines: list[str] | None = None) -> None:
+def _emit(args, payload: dict, text: str | None, lines: list[str]) -> None:
+    """Write the report, stamped with the tool and, when there is an input,
+    the sha256 of its text; or ``lines`` under ``--format text``."""
     if args.format == "json":
+        report = {"tool": "stringalg", "version": __version__, "subcommand": args.cmd, **payload}
+        if text is not None:
+            report["input_sha256"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
         out = json.dumps(report, sort_keys=True, indent=2) + "\n"
     else:
-        out = "\n".join(lines if lines is not None else [json.dumps(report, sort_keys=True)]) + "\n"
+        out = "\n".join(lines) + "\n"
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(out)
@@ -94,8 +81,7 @@ def _verdict_json(v) -> dict:
     return {"holds": v.holds, "witnesses": list(v.witnesses)}
 
 
-def cmd_validate(args) -> int:
-    q, text = _load(args.quiver)
+def cmd_validate(q, args):
     checks = {
         "special_biserial": validate_special_biserial(q),
         "string_algebra": validate_string_algebra(q),
@@ -107,112 +93,77 @@ def cmd_validate(args) -> int:
         "nodes": sorted(nodes(q)),
     }
     lines = [f"{k}: {'holds' if v.holds else 'fails'}" for k, v in checks.items()]
-    _emit(args, _report(args, payload, text), lines)
-    if args.strict and not all(v.holds for v in checks.values()):
-        return EXIT_VERDICT
-    return EXIT_OK
+    return payload, lines, not all(v.holds for v in checks.values())
 
 
-def cmd_strings(args) -> int:
-    q, text = _load(args.quiver)
-    ws = enumerate_strings(q, args.max_len)
-    payload = {"count": len(ws), "strings": [w.render() for w in ws]}
-    _emit(args, _report(args, payload, text), [w.render() for w in ws])
-    return EXIT_OK
+def cmd_strings(q, args):
+    ws = [w.render() for w in enumerate_strings(q, args.max_len)]
+    return {"count": len(ws), "strings": ws}, ws, False
 
 
-def cmd_bands(args) -> int:
-    q, text = _load(args.quiver)
+def cmd_bands(q, args):
     bound = args.max_len if args.max_len is not None else 2 * len(q.arrows)
-    bs = enumerate_bands(q, bound)
-    payload = {"bound": bound, "count": len(bs), "bands": [b.render() for b in bs]}
-    _emit(args, _report(args, payload, text), [b.render() for b in bs])
-    return EXIT_OK
+    bs = [b.render() for b in enumerate_bands(q, bound)]
+    return {"bound": bound, "count": len(bs), "bands": bs}, bs, False
 
 
-def cmd_hom(args) -> int:
-    q, text = _load(args.quiver)
-    u = word_from_text(q, args.source)
-    v = word_from_text(q, args.target)
-    basis = admissible_pairs(u, v)
+def cmd_hom(q, args):
+    basis = admissible_pairs(word_from_text(q, args.source), word_from_text(q, args.target))
     payload = {"dim": basis.dim}
     lines = [f"dim = {basis.dim}"]
     if args.verbose:
         payload["pairs"] = [list(p) for p in basis.pairs]
         lines += [f"splits {p}" for p in basis.pairs]
-    _emit(args, _report(args, payload, text), lines)
-    return EXIT_OK
+    return payload, lines, False
 
 
-def cmd_brick(args) -> int:
-    q, text = _load(args.quiver)
+def cmd_brick(q, args):
     w = word_from_text(q, args.word)
     flag = is_brick(w)
-    _emit(args, _report(args, {"word": w.render(), "brick": flag}, text), [str(flag)])
-    if args.strict and not flag:
-        return EXIT_VERDICT
-    return EXIT_OK
+    return {"word": w.render(), "brick": flag}, [str(flag)], not flag
 
 
-def cmd_census(args) -> int:
-    q, text = _load(args.quiver)
+def cmd_census(q, args):
     if args.m_max < 0:  # 0: no band scan
         raise QuiverError(f"m_max must be at least 0, got {args.m_max}")
     report = brick_census(q, args.max_len, window_lo=args.window)
     payload = {"census": report.to_json()}
     if args.m_max:
         # the minimal bands up to --max-len, the ones the census lists
-        scan = [b for b in report.bands if brick_rotation(b, args.m_max) is not None]
+        scan = unique_brick_band_scan(q, args.max_len, args.m_max)
         payload["brick_bands"] = [b.render() for b in scan]
     lines = ["len strings bricks"] + [
         f"{l:3d} {s:7d} {b:6d}" for l, (s, b) in sorted(report.per_length.items())
     ]
     lines.append(f"stabilized: {report.stabilized}")
-    _emit(args, _report(args, payload, text), lines)
-    return EXIT_OK
+    return payload, lines, False
 
 
-def cmd_resolve_nodes(args) -> int:
-    q, text = _load(args.quiver)
-    out, trace = resolve_nodes(q)
-    comps = out if isinstance(out, list) else [out]
-    payload = {
-        "components": [c.to_json() for c in comps],
-        "trace": trace.to_json(),
-    }
-    _emit(args, _report(args, payload, text), [c.to_text() for c in comps])
-    return EXIT_OK
-
-
-def cmd_trim(args) -> int:
-    q, text = _load(args.quiver)
-    comps, trace = trim(q)
+def _components(comps, trace):
     payload = {"components": [c.to_json() for c in comps], "trace": trace.to_json()}
-    _emit(args, _report(args, payload, text), [c.to_text() for c in comps])
-    return EXIT_OK
+    return payload, [c.to_text() for c in comps], False
 
 
-def cmd_reduce(args) -> int:
-    q, text = _load(args.quiver)
+def cmd_resolve_nodes(q, args):
+    return _components(*resolve_nodes(q))
+
+
+def cmd_trim(q, args):
+    return _components(*trim(q))
+
+
+def cmd_reduce(q, args):
     bs = enumerate_bands(q)
     if not (0 <= args.band < len(bs)):
         raise QuiverError(f"band index {args.band} out of range (found {len(bs)})")
     r = reduce(q, bs[args.band])
-    payload = {"band": bs[args.band].render(), "result": r.to_json()}
-    _emit(args, _report(args, payload, text), [r.to_text()])
-    return EXIT_OK
+    return {"band": bs[args.band].render(), "result": r.to_json()}, [r.to_text()], False
 
 
-def cmd_fully_reduce(args) -> int:
-    q, text = _load(args.quiver)
+def cmd_fully_reduce(q, args):
     outs = fully_reduce(q)
-    payload = {
-        "outputs": [
-            {"quiver": r.to_json(), "trace": tr.to_json()} for r, tr in outs
-        ]
-    }
-    _emit(args, _report(args, payload, text), [r.to_text() for r, _ in outs])
-    return EXIT_OK
+    payload = {"outputs": [{"quiver": r.to_json(), "trace": tr.to_json()} for r, tr in outs]}
+    return payload, [r.to_text() for r, _ in outs], False
 
 
 def _class_report(q, m_max: int = 3) -> dict:
@@ -225,42 +176,31 @@ def _class_report(q, m_max: int = 3) -> dict:
     return {"classification": label.to_json(), "tau": verdict.to_json()}
 
 
-def cmd_classify(args) -> int:
-    q, text = _load(args.quiver)
+def cmd_classify(q, args):
     payload = _class_report(q)
     label = payload["classification"]["label"]
     verdict = payload["tau"]["verdict"]
-    _emit(args, _report(args, payload, text), [label, f"tau: {verdict}"])
-    if args.strict and (label == "Other" or verdict == "Unknown"):
-        return EXIT_VERDICT
-    return EXIT_OK
+    return payload, [label, f"tau: {verdict}"], label == "Other" or verdict == "Unknown"
 
 
-def cmd_tau(args) -> int:
-    q, text = _load(args.quiver)
+def cmd_tau(q, args):
     payload = _class_report(q, m_max=args.m_max)
-    _emit(args, _report(args, payload, text), [payload["tau"]["verdict"]])
-    if args.strict and payload["tau"]["verdict"] == "Unknown":
-        return EXIT_VERDICT
-    return EXIT_OK
+    verdict = payload["tau"]["verdict"]
+    return payload, [verdict], verdict == "Unknown"
 
 
-def cmd_gorenstein(args) -> int:
-    q, text = _load(args.quiver)
+def cmd_gorenstein(q, args):
     report = gentle_hom_report(q)
-    payload = {"gorenstein": report.to_json()}
     lines = [
         f"n(A) = {report.n_of_a}",
         f"injective dimension = {report.injective_dim}"
         + (" (upper bound)" if report.injective_dim_is_bound else ""),
         f"gldim <= 2: {report.gldim_le_2}",
     ]
-    _emit(args, _report(args, payload, text), lines)
-    return EXIT_OK
+    return {"gorenstein": report.to_json()}, lines, False
 
 
-def cmd_xcheck(args) -> int:
-    q, text = _load(args.quiver)
+def cmd_xcheck(q, args):
     ws = enumerate_strings(q, args.max_len)
     mods = {w: string_module(w) for w in ws}
     mismatches = []
@@ -270,29 +210,20 @@ def cmd_xcheck(args) -> int:
             o = hom_dim_linear(mods[u], mods[v], sanity=args.sanity)
             if g != o:
                 mismatches.append({"source": u.render(), "target": v.render(), "graph": g, "linear": o})
-    payload = {
-        "strings": len(ws),
-        "pairs": len(ws) ** 2,
-        "mismatches": mismatches,
-    }
-    _emit(
-        args,
-        _report(args, payload, text),
-        [f"{len(ws)} strings, {len(ws) ** 2} pairs, {len(mismatches)} mismatches"],
-    )
-    return EXIT_VERDICT if mismatches else EXIT_OK
+    payload = {"strings": len(ws), "pairs": len(ws) ** 2, "mismatches": mismatches}
+    lines = [f"{len(ws)} strings, {len(ws) ** 2} pairs, {len(mismatches)} mismatches"]
+    return payload, lines, bool(mismatches)
 
 
-def cmd_fixtures(args) -> int:
+def cmd_fixtures(q, args):
+    """``q`` is None: this subcommand reads no quiver."""
     names = fixture_names()
     if args.dump:
         os.makedirs(args.dump, exist_ok=True)
         for n in names:
             with open(os.path.join(args.dump, f"{n}.quiver"), "w", encoding="utf-8") as fh:
                 fh.write(load_fixture(n).to_text())
-    report = {"tool": "stringalg", "version": __version__, "fixtures": names, "subcommand": "fixtures"}
-    _emit(args, report, names)
-    return EXIT_OK
+    return {"fixtures": names}, names, False
 
 
 @functools.cache
@@ -368,14 +299,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        _worker_count()
-        return args.fn(args)
+        # by name: a tracer may rebind the cmd_* functions
+        q, text = (None, None) if args.cmd == "fixtures" else _load(args.quiver)
+        payload, lines, failed = args.fn(q, args)
+        _emit(args, payload, text, lines)
     except (QuiverError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    # a verdict fails the run only under --strict; an xcheck mismatch always
+    if failed and (args.strict or args.cmd == "xcheck"):
+        return EXIT_VERDICT
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -119,5 +119,5 @@ def hom_dim_linear(U: Representation, V: Representation, sanity: bool = False) -
     return nvars - rank
 
 
-def end_dim_linear(U: Representation, sanity: bool = False) -> int:
-    return hom_dim_linear(U, U, sanity=sanity)
+def end_dim_linear(U: Representation) -> int:
+    return hom_dim_linear(U, U)

@@ -419,7 +419,7 @@ def _has_cycle(steps: _Steps, codes: Sequence[int]) -> bool:
 # -- parsing ------------------------------------------------------------------
 
 
-def parse_quiver(text: str, require_connected: bool = True) -> BoundQuiver:
+def parse_quiver(text: str) -> BoundQuiver:
     """Parse the line-oriented quiver format.
 
     Grammar: a ``quiver <name>`` header, one or more ``vertices:`` lines,
@@ -475,7 +475,7 @@ def parse_quiver(text: str, require_connected: bool = True) -> BoundQuiver:
         q = BoundQuiver(name, vertices, arrows, relations)
     except QuiverError as exc:
         raise ParseError(str(exc)) from exc
-    if require_connected and not q.is_connected():
+    if not q.is_connected():
         raise ParseError(f"quiver {name!r} is not connected")
     return q
 
@@ -569,23 +569,23 @@ def nonzero_paths(q: BoundQuiver) -> list[tuple[str, ...]]:
 # -- quotients -----------------------------------------------------------------
 
 
-def quotient_by_arrow(q: BoundQuiver, arrow: str, name: str | None = None) -> BoundQuiver:
+def quotient_by_arrow(q: BoundQuiver, arrow: str) -> BoundQuiver:
     """Kill one arrow; relations mentioning it become implied and drop."""
     if arrow not in q.arrow_by_name:
         raise QuiverError(f"no arrow {arrow!r} in {q.name!r}")
     ar = [a for a in q.arrows if a.name != arrow]
     rel = [r for r in q.relations if arrow not in r.arrows()]
-    return BoundQuiver(name or f"{q.name}/{arrow}", q.vertices, ar, rel)
+    return BoundQuiver(f"{q.name}/{arrow}", q.vertices, ar, rel)
 
 
-def quotient_by_vertex(q: BoundQuiver, vertex: str, name: str | None = None) -> BoundQuiver:
+def quotient_by_vertex(q: BoundQuiver, vertex: str) -> BoundQuiver:
     """Kill one vertex together with all incident arrows."""
     if vertex not in q.vertex_index:
         raise QuiverError(f"no vertex {vertex!r} in {q.name!r}")
-    return q.restrict(set(q.vertices) - {vertex}, name or f"{q.name}/{vertex}")
+    return q.restrict(set(q.vertices) - {vertex}, f"{q.name}/{vertex}")
 
 
-def quotient_by_path(q: BoundQuiver, path: Sequence[str], name: str | None = None) -> BoundQuiver:
+def quotient_by_path(q: BoundQuiver, path: Sequence[str]) -> BoundQuiver:
     """Impose one extra monomial relation on a currently nonzero path."""
     path = tuple(path)
     if not q.is_path(path):
@@ -593,12 +593,10 @@ def quotient_by_path(q: BoundQuiver, path: Sequence[str], name: str | None = Non
     if q.path_in_ideal(path):
         raise QuiverError(f"path {path} already vanishes in {q.name!r}")
     rel = list(q.relations) + [Relation(MONOMIAL, path)]
-    return BoundQuiver(name or f"{q.name}/path", q.vertices, q.arrows, rel)
+    return BoundQuiver(f"{q.name}/path", q.vertices, q.arrows, rel)
 
 
-def quotient_by_parallel_pair(
-    q: BoundQuiver, path1: Sequence[str], path2: Sequence[str], name: str | None = None
-) -> BoundQuiver:
+def quotient_by_parallel_pair(q: BoundQuiver, path1: Sequence[str], path2: Sequence[str]) -> BoundQuiver:
     """Impose a coefficient-1 commutativity relation between parallel paths."""
     p1, p2 = tuple(path1), tuple(path2)
     for p in (p1, p2):
@@ -607,7 +605,7 @@ def quotient_by_parallel_pair(
         if q.path_in_ideal(p):
             raise QuiverError(f"path {p} already vanishes in {q.name!r}")
     rel = list(q.relations) + [Relation(COMMUTATIVITY, p1, p2)]
-    return BoundQuiver(name or f"{q.name}/comm", q.vertices, q.arrows, rel)
+    return BoundQuiver(f"{q.name}/comm", q.vertices, q.arrows, rel)
 
 
 def parallel_pair_candidates(q: BoundQuiver) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:

@@ -51,9 +51,9 @@ class TransformError(QuiverError):
 def resolve_nodes(q: BoundQuiver):
     """Split every node into a sink/source pair.
 
-    Returns ``(quiver, trace)`` when the result is connected and
-    ``(component_list, trace)`` otherwise.  Only relation generators whose
-    paths pass through no node survive.
+    Returns ``(components, trace)``, like ``trim``; a connected result is a
+    one-item list.  Only relation generators whose paths pass through no
+    node survive.
     """
     if not validate_string_algebra(q).holds:
         raise TransformError("node resolution expects a string algebra")
@@ -61,7 +61,7 @@ def resolve_nodes(q: BoundQuiver):
     trace = TransformTrace()
     if not ns:
         trace.add("resolve-nodes", {"nodes": []}, q.name)
-        return q, trace
+        return [q], trace
     vertices: list[str] = []
     for v in q.vertices:
         if v in ns:
@@ -84,8 +84,6 @@ def resolve_nodes(q: BoundQuiver):
     name = f"{q.name}.nn"
     out = BoundQuiver(name, vertices, arrows, relations)
     trace.add("resolve-nodes", {"nodes": sorted(ns)}, name)
-    if out.is_connected():
-        return out, trace
     return out.components(), trace
 
 

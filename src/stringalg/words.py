@@ -29,9 +29,6 @@ class Letter(NamedTuple):
     arrow: str
     inverse: bool
 
-    def inv(self) -> "Letter":
-        return self._replace(inverse=not self.inverse)
-
     def render(self) -> str:
         return self.arrow + ("-" if self.inverse else "")
 
@@ -246,9 +243,6 @@ class BandClass:
     def length(self) -> int:
         return len(self.representative)
 
-    def sort_key(self) -> tuple:
-        return self.representative.sort_key()
-
     def render(self) -> str:
         return self.representative.render()
 
@@ -319,7 +313,8 @@ def enumerate_bands(q: BoundQuiver, max_len: int | None = None) -> list[BandClas
 
 @_memo
 def _bands(q: BoundQuiver) -> tuple[BandClass, ...]:
-    """The band classes of ``enumerate_bands``, in ``BandClass.sort_key`` order.
+    """The band classes of ``enumerate_bands``, in their representatives'
+    ``StringWord.sort_key`` order.
 
     A representative starts with the least code of its class's codes and
     their inverses, a set closed under ``x ^ 1``, so with a direct code
@@ -334,7 +329,7 @@ def _bands(q: BoundQuiver) -> tuple[BandClass, ...]:
         if _is_band_walk(steps, c):
             classes.add(_least_rotation(c))
         frontier.extend(e for e in _extend(steps, c) if e[-1] > c[0] and e[-1] not in c)
-    # the order of BandClass.sort_key, which is (length, codes, -1)
+    # the representatives' sort_key order, which is (length, codes, -1)
     return tuple(BandClass(StringWord(q, c)) for c in sorted(classes, key=lambda c: (len(c), c)))
 
 

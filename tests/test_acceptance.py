@@ -135,8 +135,7 @@ def test_criterion_07_nody_family(corpus):
     assert tau_finiteness(d2).value == "Finite"
     bands = enumerate_bands(d2, 2 * len(d2.arrows))
     assert len(bands) == 1 and bands[0].length() == 6
-    nn, _ = resolve_nodes(d2)
-    assert not isinstance(nn, list)
+    (nn,), _ = resolve_nodes(d2)
     assert len(nn.vertices) == 6
     assert classify_node_free(nn).value == "HereditaryAn"
     census = brick_census(d2, 8, window_lo=2)

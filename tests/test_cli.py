@@ -1,29 +1,28 @@
+import hashlib
 import json
-import os
 import subprocess
 import sys
 
 import pytest
 
-import stringalg
+from stringalg import cli
 from stringalg.cli import main
-from stringalg.fixtures import load_fixture
+from stringalg.fixtures import fixture_names, load_fixture
+
+# no step of the tau cascade decides this algebra: its verdict is Unknown
+UNKNOWN_QUIVER = """quiver unknown
+vertices: v0 v1
+arrow a0: v0 -> v1
+arrow a1: v1 -> v0
+arrow a2: v0 -> v0
+rel a1 a0
+rel a2 a0
+rel a2 a2
+"""
 
 
-@pytest.fixture(autouse=True)
-def _no_caller_workers(monkeypatch):
-    # run_cli and the in-process main both read the caller's environment
-    monkeypatch.delenv("STRINGALG_WORKERS", raising=False)
-
-
-def run_cli(args, env=None):
-    proc = subprocess.run(
-        [sys.executable, "-m", "stringalg.cli", *args],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    return proc
+def run_cli(args):
+    return subprocess.run([sys.executable, "-m", "stringalg.cli", *args], capture_output=True, text=True)
 
 
 def write_fixture(tmp_path, name):
@@ -196,31 +195,6 @@ def test_trim_subcommand_components(tmp_path):
     assert report["trace"][0]["params"]["vertices"] == ["b", "d", "e"]
 
 
-def test_worker_env_accepted_and_rejected(tmp_path):
-    path = write_fixture(tmp_path, "lambda3")
-    # a chosen environment only; PYTHONPATH points at wherever the imported
-    # package lives, so this works installed and from a source checkout
-    package_root = os.path.dirname(os.path.dirname(stringalg.__file__))
-
-    def run_with_workers(workers):
-        env = {"STRINGALG_WORKERS": workers, "PATH": "/usr/bin:/bin", "PYTHONPATH": package_root}
-        return run_cli(["bands", path], env=env)
-
-    baseline = run_with_workers("1")
-    assert baseline.returncode == 0
-    for workers in ["4", " 2 "]:
-        proc = run_with_workers(workers)
-        assert proc.returncode == 0
-        assert proc.stdout == baseline.stdout
-    for workers in ["zero", "", "0", "-1"]:
-        proc = run_with_workers(workers)
-        assert proc.returncode == 2
-        lines = proc.stderr.splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith("error: STRINGALG_WORKERS")
-        assert "Traceback" not in proc.stderr
-
-
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -287,3 +261,80 @@ def test_unknown_fixture_message(capsys):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error: unknown fixture 'nope'")
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
+@pytest.mark.parametrize(
+    "argv, fails",
+    [
+        (["validate", "fixture:lambda1"], True),
+        (["validate", "fixture:a9"], False),
+        (["brick", "fixture:lambda3", "eps theta"], True),
+        (["brick", "fixture:loops_barbell", "theta gamma- theta- alpha-"], False),
+        (["classify", "fixture:linear_a5"], True),
+        (["classify", "fixture:windwheel_a12"], False),
+        (["tau", "UNKNOWN"], True),
+        (["tau", "fixture:lambda3"], False),
+    ],
+    ids=[
+        "validate-fails",
+        "validate-holds",
+        "brick-fails",
+        "brick-holds",
+        "classify-other",
+        "classify-windwheel",
+        "tau-unknown",
+        "tau-infinite",
+    ],
+)
+def test_a_failing_verdict_exits_1_only_under_strict(argv, fails, strict, tmp_path, capsys):
+    path = tmp_path / "unknown.quiver"
+    path.write_text(UNKNOWN_QUIVER, encoding="utf-8")
+    argv = [str(path) if a == "UNKNOWN" else a for a in argv]
+    assert main(argv + ["--strict"] * strict) == (1 if fails and strict else 0)
+    # the report is written whatever the status
+    assert json.loads(capsys.readouterr().out)["subcommand"] == argv[0]
+
+
+@pytest.mark.parametrize("strict", [[], ["--strict"]], ids=["lenient", "strict"])
+def test_xcheck_exits_1_on_a_mismatch_with_or_without_strict(strict, monkeypatch, capsys):
+    argv = ["xcheck", "fixture:lambda3", "--max-len", "2", *strict]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["mismatches"] == []
+    # an oracle that disagrees on every pair
+    monkeypatch.setattr(cli, "hom_dim_linear", lambda U, V, sanity=False: -1)
+    assert main(argv) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert len(report["mismatches"]) == report["pairs"] > 0
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_output_file_gets_exactly_the_stdout_bytes(fmt, tmp_path, capsys):
+    argv = ["--format", fmt, "tau", "fixture:lambda3"]
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    path = tmp_path / "report.out"
+    assert main(["--output", str(path), *argv]) == 0
+    assert capsys.readouterr().out == ""
+    assert path.read_bytes() == stdout.encode("utf-8")
+
+
+def test_dumped_fixtures_give_the_reports_of_the_fixture_scheme(tmp_path, capsys):
+    assert main(["fixtures", "--dump", str(tmp_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["fixtures"] == fixture_names()
+    for name in fixture_names():
+        assert main(["tau", str(tmp_path / f"{name}.quiver")]) == 0
+        from_file = capsys.readouterr().out
+        assert main(["tau", f"fixture:{name}"]) == 0
+        assert capsys.readouterr().out == from_file, name
+        sha = json.loads(from_file)["input_sha256"]
+        assert sha == hashlib.sha256((tmp_path / f"{name}.quiver").read_bytes()).hexdigest()
+
+
+def test_disconnected_quiver_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "two.quiver"
+    path.write_text("quiver two\nvertices: a b\n", encoding="utf-8")
+    assert main(["tau", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: quiver 'two' is not connected"]

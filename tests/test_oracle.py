@@ -170,7 +170,7 @@ def test_end_dimension_agrees_with_the_rational_rank(corpus):
             rows, nvars = _intertwiner_matrix(M, M)
             dim = end_dim_linear(M)
             assert dim == nvars - _rank_bareiss(rows), w.render()
-            assert dim == end_dim_linear(M, sanity=True), w.render()
+            assert dim == hom_dim_linear(M, M, sanity=True), w.render()
             seen.add(dim == 1)
     assert seen == {True, False}  # both the shortcut and the fall-through ran
 
@@ -183,7 +183,7 @@ def test_end_shortcut_when_the_prime_divides_an_entry():
     assert nvars - _rank_bareiss(rows, SANITY_PRIME) == 2
     assert end_dim_linear(U) == 1
     with pytest.raises(ArithmeticError):
-        end_dim_linear(U, sanity=True)
+        hom_dim_linear(U, U, sanity=True)
     # Hom(A, B) = 0 over Q, while the modular corank is 1: applying the
     # End shortcut to distinct modules would answer 1
     A = Representation(q, {"x": 1, "y": 0}, {"a": []})

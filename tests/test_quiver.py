@@ -92,7 +92,7 @@ def test_any_token_text_parses_or_raises_parse_error(text):
 
 def test_parse_serialize_round_trip(corpus):
     for q in corpus.values():
-        again = parse_quiver(q.to_text(), require_connected=False)
+        again = parse_quiver(q.to_text())
         assert again == q
         assert again.to_text() == q.to_text()
 

@@ -17,8 +17,7 @@ from stringalg.words import band_exists, enumerate_bands, word_from_text
 
 
 def test_resolve_double_cycle_gives_hereditary_hexagon(corpus):
-    out, trace = resolve_nodes(corpus["double_a2"])
-    assert not isinstance(out, list)
+    (out,), trace = resolve_nodes(corpus["double_a2"])
     assert len(out.vertices) == 6
     assert len(out.arrows) == 6
     assert not out.relations
@@ -28,13 +27,13 @@ def test_resolve_double_cycle_gives_hereditary_hexagon(corpus):
 
 def test_resolve_node_free_is_identity(corpus):
     q = corpus["atilde5"]
-    out, _ = resolve_nodes(q)
+    (out,), _ = resolve_nodes(q)
     assert out == q
 
 
 def test_resolve_can_disconnect(corpus):
     out, _ = resolve_nodes(corpus["double_a1"])
-    assert isinstance(out, list) and len(out) == 2
+    assert len(out) == 2 and all(c.is_connected() for c in out)
 
 
 def test_glue_preconditions(corpus):
@@ -49,7 +48,7 @@ def test_glue_then_resolve_round_trip():
     a = load_fixture("bongartz_a_1_1")
     g = glue(a, "y", "x")
     assert nodes(g) == {"y~x"}
-    back, _ = resolve_nodes(g)
+    (back,), _ = resolve_nodes(g)
     assert quivers_isomorphic(back, a)
 
 
@@ -57,7 +56,7 @@ def test_glue_barbell_then_resolve_restores_it():
     b = load_fixture("barbell_a9")
     g = glue(b, "4", "0")
     assert nodes(g) == {"4~0"}
-    back, _ = resolve_nodes(g)
+    (back,), _ = resolve_nodes(g)
     assert quivers_isomorphic(back, b)
 
 
