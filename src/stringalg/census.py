@@ -1,12 +1,10 @@
-"""Brick enumeration at bounded length and explicit infinite brick
-families for barbell-type algebras."""
+"""Brick censuses at bounded length and scans for brick bands."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphmaps import _is_brick_string, is_brick
-from .oracle import end_dim_linear
+from .graphmaps import _is_brick_string
 from .quiver import (
     BoundQuiver,
     QuiverError,
@@ -15,14 +13,7 @@ from .quiver import (
     _steps,
     validate_string_algebra,
 )
-from .words import (
-    BandClass,
-    StringWord,
-    _is_canonical,
-    canonical_band,
-    enumerate_bands,
-    string_module,
-)
+from .words import BandClass, StringWord, _is_canonical, enumerate_bands
 
 
 @dataclass
@@ -201,74 +192,10 @@ def _string_counts(q: BoundQuiver, max_len: int) -> list[int]:
     return strings
 
 
-@dataclass
-class BrickFamilyWitness:
-    band: BandClass
-    word: StringWord
-    verified_exponents: tuple[int, ...]
-    construction: str
-
-
-def _positive_bar_family(detail: dict) -> StringWord:
-    c_l, c_r, bar = detail["c_l"], detail["c_r"], detail["bar"]
-    if not bar.codes[0] & 1:
-        return c_l.concat(bar).concat(c_r).concat(bar.inverse())
-    return c_l.inverse().concat(bar).concat(c_r.inverse()).concat(bar.inverse())
-
-
-def _zero_bar_family(detail: dict) -> StringWord:
-    # rotate the composite cycle so it opens after the maximal direct prefix
-    # of the non-serial side; the splice point blocks all graph maps
-    c_l, c_r = detail["c_l"], detail["c_r"]
-    if not any(x & 1 for x in c_l.codes):
-        c_l, c_r = c_r, c_l
-    i = 0
-    while i < len(c_l) and not c_l.codes[i] & 1:
-        i += 1
-    w = c_l.slice(i, len(c_l)).concat(c_r)
-    if i:
-        w = w.concat(c_l.slice(0, i))
-    return w
-
-
 def _check_m_max(m_max: int) -> None:
     # an empty range of exponents would make every word pass
     if m_max < 1:
         raise QuiverError(f"m_max must be at least 1, got {m_max}")
-
-
-def barbell_brick_family(q: BoundQuiver, label, m_max: int = 4) -> BrickFamilyWitness:
-    """The canonical band whose powers stay bricks, verified for
-    ``m = 1..m_max`` through graph maps and the linear-algebra oracle."""
-    _check_m_max(m_max)
-    detail = label.detail
-    if label.value == "HereditaryAn":
-        # the seam vertex must not land in both top and socle; some rotation
-        # of the cycle always works (a simple of defect -1 exists on the cycle)
-        w = brick_rotation(detail["band"], 2)
-        if w is None:
-            raise QuiverError("no brick rotation of the cycle band; recognizer bug")
-        construction = "HereditaryAn"
-    elif label.value == "Barbell":
-        w = _positive_bar_family(detail)
-        construction = "BarbellStandard"
-    elif label.value == "GeneralizedBarbell":
-        w = _zero_bar_family(detail)
-        construction = "ZeroBarStandard"
-    else:
-        raise QuiverError(f"no brick family construction for label {label.value}")
-    exponents = []
-    for m in range(1, m_max + 1):
-        wm = w.power(m)
-        graph = is_brick(wm)
-        linear = end_dim_linear(string_module(wm)) == 1
-        if not (graph and linear):
-            raise QuiverError(
-                f"constructed family fails brick check at exponent {m}"
-                f" (graph={graph}, linear={linear}); recognizer or construction bug"
-            )
-        exponents.append(m)
-    return BrickFamilyWitness(canonical_band(w), w, tuple(exponents), construction)
 
 
 def brick_rotation(b: BandClass, m_max: int) -> StringWord | None:

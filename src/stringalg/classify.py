@@ -7,7 +7,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .census import _check_m_max, barbell_brick_family, brick_census
+from .census import _check_m_max, brick_census, brick_rotation
+from .graphmaps import is_brick
+from .oracle import end_dim_linear
 from .quiver import (
     BoundQuiver,
     QuiverError,
@@ -31,9 +33,11 @@ from .words import (
     BandClass,
     StringWord,
     band_exists,
+    canonical_band,
     enumerate_bands,
     is_string,
     lazy_word,
+    string_module,
 )
 
 HEREDITARY_AN = "HereditaryAn"
@@ -61,9 +65,7 @@ class ClassLabel:
 def _detail_json(detail: dict) -> dict:
     out = {}
     for k, v in detail.items():
-        if isinstance(v, StringWord):
-            out[k] = v.render()
-        elif isinstance(v, BandClass):
+        if isinstance(v, (StringWord, BandClass)):
             out[k] = v.render()
         elif isinstance(v, ClassLabel):
             out[k] = v.to_json()
@@ -125,6 +127,8 @@ def _trace_bar(q: BoundQuiver, x: str, y: str, cycle_arrows: set[str]) -> String
 
 
 def _try_barbell(q: BoundQuiver) -> ClassLabel | None:
+    """Two cycles, each through the middle vertex of one quadratic relation,
+    joined by a bar, which has length 0 (a generalized barbell) iff they meet."""
     quad = [r for r in q.relations if len(r.path1) == 2]
     if len(q.relations) != 2 or len(quad) != 2:
         return None
@@ -141,23 +145,11 @@ def _try_barbell(q: BoundQuiver) -> ClassLabel | None:
         ra = c_r.supported_arrows()
         lv = set(c_l.walk_vertices())
         rv = set(c_r.walk_vertices())
-        if la & ra:
+        if la & ra or lv & rv != ({x} if x == y else set()):
             continue
-        if x == y:
-            if lv & rv != {x}:
-                continue
-            if la | ra != {a.name for a in q.arrows}:
-                continue
-            if lv | rv != set(q.vertices):
-                continue
-            if _is_serial(c_l) and _is_serial(c_r):
-                continue  # the composite cycle would be uniserial
-            bar = lazy_word(q, x)
-            detail = {"x": x, "y": y, "c_l": c_l, "c_r": c_r, "bar": bar, "bar_serial": False}
-            return ClassLabel(GENERALIZED_BARBELL, detail)
-        if lv & rv:
-            continue
-        bar = _trace_bar(q, x, y, la | ra)
+        if x == y and _is_serial(c_l) and _is_serial(c_r):
+            continue  # the composite cycle would be uniserial
+        bar = lazy_word(q, x) if x == y else _trace_bar(q, x, y, la | ra)
         if bar is None:
             continue
         ba = bar.supported_arrows()
@@ -168,15 +160,9 @@ def _try_barbell(q: BoundQuiver) -> ClassLabel | None:
             continue
         if bv & lv != {x} or bv & rv != {y}:
             continue
-        detail = {
-            "x": x,
-            "y": y,
-            "c_l": c_l,
-            "c_r": c_r,
-            "bar": bar,
-            "bar_serial": _is_serial(bar),
-        }
-        return ClassLabel(BARBELL, detail)
+        serial = x != y and _is_serial(bar)  # a length-0 bar is not serial
+        detail = {"x": x, "y": y, "c_l": c_l, "c_r": c_r, "bar": bar, "bar_serial": serial}
+        return ClassLabel(GENERALIZED_BARBELL if x == y else BARBELL, detail)
     return None
 
 
@@ -375,12 +361,76 @@ def _census_witness(q: BoundQuiver) -> dict:
     }
 
 
+@dataclass
+class BrickFamilyWitness:
+    band: BandClass
+    word: StringWord
+    verified_exponents: tuple[int, ...]
+    construction: str
+
+
+def _positive_bar_family(detail: dict) -> StringWord:
+    c_l, c_r, bar = detail["c_l"], detail["c_r"], detail["bar"]
+    if not bar.codes[0] & 1:
+        return c_l.concat(bar).concat(c_r).concat(bar.inverse())
+    return c_l.inverse().concat(bar).concat(c_r.inverse()).concat(bar.inverse())
+
+
+def _zero_bar_family(detail: dict) -> StringWord:
+    # rotate the composite cycle so it opens after the maximal direct prefix
+    # of the non-serial side; the splice point blocks all graph maps
+    c_l, c_r = detail["c_l"], detail["c_r"]
+    if not any(x & 1 for x in c_l.codes):
+        c_l, c_r = c_r, c_l
+    i = 0
+    while i < len(c_l) and not c_l.codes[i] & 1:
+        i += 1
+    w = c_l.slice(i, len(c_l)).concat(c_r)
+    if i:
+        w = w.concat(c_l.slice(0, i))
+    return w
+
+
+def barbell_brick_family(label: ClassLabel, m_max: int) -> BrickFamilyWitness:
+    """The canonical band whose powers stay bricks, verified for
+    ``m = 1..m_max`` through graph maps and the linear-algebra oracle."""
+    _check_m_max(m_max)
+    detail = label.detail
+    if label.value == HEREDITARY_AN:
+        # the seam vertex must not land in both top and socle; some rotation
+        # of the cycle always works (a simple of defect -1 exists on the cycle)
+        w = brick_rotation(detail["band"], 2)
+        if w is None:
+            raise QuiverError("no brick rotation of the cycle band; recognizer bug")
+        construction = "HereditaryAn"
+    elif label.value == BARBELL:
+        w = _positive_bar_family(detail)
+        construction = "BarbellStandard"
+    elif label.value == GENERALIZED_BARBELL:
+        w = _zero_bar_family(detail)
+        construction = "ZeroBarStandard"
+    else:
+        raise QuiverError(f"no brick family construction for label {label.value}")
+    exponents = []
+    for m in range(1, m_max + 1):
+        wm = w.power(m)
+        graph = is_brick(wm)
+        linear = end_dim_linear(string_module(wm)) == 1
+        if not (graph and linear):
+            raise QuiverError(
+                f"constructed family fails brick check at exponent {m}"
+                f" (graph={graph}, linear={linear}); recognizer or construction bug"
+            )
+        exponents.append(m)
+    return BrickFamilyWitness(canonical_band(w), w, tuple(exponents), construction)
+
+
 def _reduced_family_witness(q: BoundQuiver, m_max: int) -> dict:
     """Brick-family witness on the smallest full reduction of a
     representation-infinite gentle algebra."""
     red, _ = min(fully_reduce(q), key=lambda t: (len(t[0].vertices), len(t[0].arrows), t[0].name))
     label = classify_node_free(red)
-    fam = barbell_brick_family(red, label, m_max)
+    fam = barbell_brick_family(label, m_max)
     return {
         "kind": "brick-family",
         "algebra": red.name,

@@ -55,6 +55,9 @@ class Relation:
         return self.path1 + self.path2
 
     def key(self) -> tuple:
+        """Equal for both orientations of a commutativity relation."""
+        if self.kind == COMMUTATIVITY:
+            return (self.kind, *sorted((self.path1, self.path2)))
         return (self.kind, self.path1, self.path2)
 
 
@@ -196,13 +199,18 @@ class BoundQuiver:
             out.append(self.restrict(vs, name=f"{self.name}.c{i}"))
         return out
 
-    def restrict(self, vertex_set: set[str], name: str | None = None) -> "BoundQuiver":
-        """Full subquiver on ``vertex_set``; relations with lost arrows drop."""
+    def restrict(
+        self, vertex_set: set[str], name: str, arrow_set: set[str] | None = None
+    ) -> "BoundQuiver":
+        """Subquiver on ``vertex_set`` with the arrows between its vertices,
+        only those in ``arrow_set`` if given; relations with lost arrows drop."""
         vs = [v for v in self.vertices if v in vertex_set]
         ar = [a for a in self.arrows if a.src in vertex_set and a.tgt in vertex_set]
+        if arrow_set is not None:
+            ar = [a for a in ar if a.name in arrow_set]
         keep = {a.name for a in ar}
         rel = [r for r in self.relations if all(x in keep for x in r.arrows())]
-        return BoundQuiver(name or self.name, vs, ar, rel)
+        return BoundQuiver(name, vs, ar, rel)
 
     # -- the ideal -----------------------------------------------------------
 
@@ -573,9 +581,8 @@ def quotient_by_arrow(q: BoundQuiver, arrow: str) -> BoundQuiver:
     """Kill one arrow; relations mentioning it become implied and drop."""
     if arrow not in q.arrow_by_name:
         raise QuiverError(f"no arrow {arrow!r} in {q.name!r}")
-    ar = [a for a in q.arrows if a.name != arrow]
-    rel = [r for r in q.relations if arrow not in r.arrows()]
-    return BoundQuiver(f"{q.name}/{arrow}", q.vertices, ar, rel)
+    rest = {a.name for a in q.arrows} - {arrow}
+    return q.restrict(set(q.vertices), f"{q.name}/{arrow}", rest)
 
 
 def quotient_by_vertex(q: BoundQuiver, vertex: str) -> BoundQuiver:

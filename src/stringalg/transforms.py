@@ -299,13 +299,7 @@ def reduce(q: BoundQuiver, band: BandClass) -> BoundQuiver:
     """Quotient by every arrow the band does not support, dropping the
     vertices this isolates."""
     w = _check_band(q, band)
-    supported = w.supported_arrows()
-    arrows = [a for a in q.arrows if a.name in supported]
-    touched = {a.src for a in arrows} | {a.tgt for a in arrows}
-    vertices = [v for v in q.vertices if v in touched]
-    keep = {a.name for a in arrows}
-    relations = [r for r in q.relations if all(x in keep for x in r.arrows())]
-    return BoundQuiver(f"{q.name}.r", vertices, arrows, relations)
+    return q.restrict(set(w.walk_vertices()), f"{q.name}.r", w.supported_arrows())
 
 
 def fully_reduce(a: BoundQuiver) -> list[tuple[BoundQuiver, TransformTrace]]:

@@ -7,8 +7,9 @@ criterion; each test also prints an explicit PASS marker.
 import itertools
 import random
 
-from stringalg.census import barbell_brick_family, brick_census, unique_brick_band_scan
+from stringalg.census import brick_census, unique_brick_band_scan
 from stringalg.classify import (
+    barbell_brick_family,
     classify_mri_sb,
     classify_node_free,
     gentle_hom_report,
@@ -106,9 +107,9 @@ def test_criterion_04_oracle_equivalence(corpus):
 
 def test_criterion_05_barbell_brick_families(loops_barbell):
     barbell = load_fixture("barbell_a9")
-    fam = barbell_brick_family(barbell, classify_node_free(barbell), m_max=4)
+    fam = barbell_brick_family(classify_node_free(barbell), m_max=4)
     assert fam.verified_exponents == (1, 2, 3, 4)
-    fam54 = barbell_brick_family(loops_barbell, classify_node_free(loops_barbell), m_max=4)
+    fam54 = barbell_brick_family(classify_node_free(loops_barbell), m_max=4)
     assert fam54.verified_exponents == (1, 2, 3, 4)
     scan = unique_brick_band_scan(loops_barbell, 8, 2)
     expected = canonical_band(word_from_text(loops_barbell, "theta gamma- theta- alpha-"))

@@ -3,13 +3,8 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stringalg.census import (
-    barbell_brick_family,
-    brick_census,
-    brick_rotation,
-    unique_brick_band_scan,
-)
-from stringalg.classify import classify_node_free
+from stringalg.census import brick_census, brick_rotation, unique_brick_band_scan
+from stringalg.classify import barbell_brick_family, classify_node_free
 from stringalg.fixtures import bongartz_e, load_fixture
 from stringalg.quiver import QuiverError, parse_quiver, validate_string_algebra
 from stringalg.words import canonical_band, enumerate_bands, word_from_text
@@ -59,12 +54,12 @@ def test_census_report_is_deterministic(lambda4):
 
 def test_barbell_family_all_powers(loops_barbell):
     label = classify_node_free(load_fixture("barbell_a9"))
-    fam = barbell_brick_family(load_fixture("barbell_a9"), label, m_max=4)
+    fam = barbell_brick_family(label, m_max=4)
     assert fam.verified_exponents == (1, 2, 3, 4)
     assert fam.construction == "BarbellStandard"
 
     label54 = classify_node_free(loops_barbell)
-    fam54 = barbell_brick_family(loops_barbell, label54, m_max=4)
+    fam54 = barbell_brick_family(label54, m_max=4)
     expected = canonical_band(word_from_text(loops_barbell, "theta gamma- theta- alpha-"))
     assert fam54.band == expected
 
@@ -72,23 +67,23 @@ def test_barbell_family_all_powers(loops_barbell):
 def test_zero_bar_family_word(corpus):
     q = corpus["zero_bar_gb"]
     label = classify_node_free(q)
-    fam = barbell_brick_family(q, label, m_max=3)
+    fam = barbell_brick_family(label, m_max=3)
     assert fam.construction == "ZeroBarStandard"
     assert fam.word.render() == "beta gamma alpha mu-"
 
 
 def test_hereditary_family(corpus):
     q = corpus["atilde5"]
-    fam = barbell_brick_family(q, classify_node_free(q), m_max=4)
+    fam = barbell_brick_family(classify_node_free(q), m_max=4)
     assert fam.construction == "HereditaryAn"
     assert fam.band.length() == 6
 
 
-def test_family_requires_recognized_label(lambda2):
+def test_family_requires_recognized_label():
     from stringalg.classify import ClassLabel
 
     with pytest.raises(QuiverError):
-        barbell_brick_family(lambda2, ClassLabel("Other"), 2)
+        barbell_brick_family(ClassLabel("Other"), 2)
 
 
 def test_unique_brick_band_scan(loops_barbell, windwheel):

@@ -1,7 +1,19 @@
+import random
+
 import pytest
 
-from stringalg.fixtures import load_fixture
-from stringalg.quiver import nodes, validate_gentle, validate_string_algebra
+from stringalg.fixtures import fixture_names, load_fixture
+from stringalg.quiver import (
+    COMMUTATIVITY,
+    MONOMIAL,
+    Arrow,
+    BoundQuiver,
+    Relation,
+    nodes,
+    parse_quiver,
+    validate_gentle,
+    validate_string_algebra,
+)
 from stringalg.transforms import (
     TransformError,
     barify,
@@ -199,6 +211,90 @@ def test_quiver_isomorphism_basics(corpus):
     assert quivers_isomorphic(q, renamed)
     assert not quivers_isomorphic(q, corpus["lambda4"])
     assert not quivers_isomorphic(q, corpus["atilde5"])
+
+
+def _shuffled_copy(q: BoundQuiver, rng: random.Random) -> BoundQuiver:
+    """``q`` with fresh vertex and arrow names, its vertices, arrows and
+    relations in a random order, and each commutativity relation in a
+    random orientation."""
+    n, m = len(q.vertices), len(q.arrows)
+    vname = {v: f"p{k}" for v, k in zip(q.vertices, rng.sample(range(n), n))}
+    aname = {a.name: f"x{k}" for a, k in zip(q.arrows, rng.sample(range(m), m))}
+    arrows = [Arrow(aname[a.name], vname[a.src], vname[a.tgt]) for a in q.arrows]
+    relations = []
+    for r in q.relations:
+        p1, p2 = (tuple(aname[x] for x in p) for p in (r.path1, r.path2))
+        if r.kind == COMMUTATIVITY and rng.random() < 0.5:
+            p1, p2 = p2, p1
+        relations.append(Relation(r.kind, p1, p2))
+    vertices = rng.sample(list(vname.values()), n)
+    arrows = rng.sample(arrows, m)
+    return BoundQuiver("shuffled", vertices, arrows, rng.sample(relations, len(relations)))
+
+
+def _degrees(q: BoundQuiver) -> list[tuple[int, int]]:
+    return sorted((len(q.incoming(v)), len(q.outgoing(v))) for v in q.vertices)
+
+
+def _relation_lengths(q: BoundQuiver) -> list[int]:
+    return sorted(len(r.arrows()) for r in q.relations)
+
+
+def _other_quiver(q: BoundQuiver) -> BoundQuiver:
+    """A quiver with as many vertices, arrows and relations as ``q``: one
+    arrow outside every relation reversed, if that changes the sorted
+    degrees; else one monomial relation shortened or lengthened by an arrow."""
+    used = {x for r in q.relations for x in r.arrows()}
+    for a in q.arrows:
+        if a.name not in used and a.src != a.tgt:
+            arrows = [Arrow(b.name, b.tgt, b.src) if b is a else b for b in q.arrows]
+            p = BoundQuiver("other", q.vertices, arrows, q.relations)
+            if _degrees(p) != _degrees(q):
+                return p
+    for i, r in enumerate(q.relations):
+        if r.kind != MONOMIAL:
+            continue
+        if len(r.path1) > 2:
+            paths = [r.path1[:-1]]
+        else:
+            src, tgt = q.arrow_by_name[r.path1[0]].src, q.arrow_by_name[r.path1[-1]].tgt
+            paths = [r.path1 + (b.name,) for b in q.outgoing(tgt)]
+            paths += [(b.name,) + r.path1 for b in q.incoming(src)]
+        if paths:
+            relations = list(q.relations)
+            relations[i] = Relation(MONOMIAL, paths[0])
+            return BoundQuiver("other", q.vertices, q.arrows, relations)
+    raise AssertionError(f"no quiver to compare with {q.name}")
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_isomorphism_survives_renaming_and_reordering(corpus, name):
+    q = corpus[name]
+    copy = _shuffled_copy(q, random.Random(name))
+    assert copy != q
+    assert quivers_isomorphic(q, copy) and quivers_isomorphic(copy, q)
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_isomorphism_rejects_a_changed_invariant(corpus, name):
+    q = corpus[name]
+    other = _other_quiver(q)
+    sizes = (len(q.vertices), len(q.arrows), len(q.relations))
+    assert (len(other.vertices), len(other.arrows), len(other.relations)) == sizes
+    assert _degrees(other) != _degrees(q) or _relation_lengths(other) != _relation_lengths(q)
+    assert not quivers_isomorphic(q, other)
+    assert not quivers_isomorphic(_shuffled_copy(q, random.Random(name)), other)
+
+
+def test_commutativity_relations_compare_equal_in_either_orientation():
+    text = (
+        "quiver square\nvertices: 1 2 3 4 5\narrow a: 1 -> 2\narrow b: 2 -> 4\n"
+        "arrow c: 1 -> 3\narrow d: 3 -> 5\narrow e: 5 -> 4\n"
+    )
+    q = parse_quiver(text + "comrel a b = c d e\n")
+    flipped = parse_quiver(text + "comrel c d e = a b\n")
+    assert q == flipped
+    assert quivers_isomorphic(q, flipped)
 
 
 def test_barify_flags_boundary_relation_involvement():
