@@ -18,62 +18,48 @@ from .words import BandClass, StringWord, _is_canonical, enumerate_bands
 
 @dataclass
 class CensusReport:
-    """Per-length string/brick counts; bounded-length evidence only, not a
-    finiteness proof."""
+    """Per-length string/brick counts up to ``bound_used``, and where the
+    brick walk ran out.
+
+    The counts are bounded-length evidence only.  ``exhausted_at`` is a
+    proof: when it is a length, no string brick has that length or more,
+    so the counts list every string brick; it is None when the walk did
+    not run out below ``bound_used``.  Band modules are not counted.
+    """
 
     per_length: dict[int, tuple[int, int]]
     bands: list[BandClass]
-    stabilized: bool
     bound_used: int
-    window_lo: int
+    exhausted_at: int | None
 
     def to_json(self) -> dict:
         return {
             "per_length": {str(k): list(v) for k, v in sorted(self.per_length.items())},
             "bands": [b.render() for b in self.bands],
-            "stabilized": self.stabilized,
             "bound_used": self.bound_used,
-            "window": [self.window_lo, self.bound_used],
+            "exhausted_at": self.exhausted_at,
             "evidence": "bounded-length",
         }
 
 
-def brick_census(q: BoundQuiver, max_len: int, window_lo: int | None = None) -> CensusReport:
-    """Count canonical strings and bricks per length up to ``max_len``.
-
-    ``stabilized`` records that no brick occurs with length in
-    ``(window_lo, max_len]``; it is false when that window is empty, since
-    then nothing was checked, and ``window_lo`` above ``max_len`` is an
-    error.  Band classes are listed separately; band modules are not
-    counted as bricks here.
-    """
+def brick_census(q: BoundQuiver, max_len: int) -> CensusReport:
+    """Count canonical strings and bricks per length up to ``max_len``, and
+    find the length at which the brick walk runs out, if it does below
+    ``max_len`` (see ``_brick_walk``).  Band classes up to ``max_len`` are
+    listed separately."""
     if max_len < 0:
         raise QuiverError(f"max_len must be at least 0, got {max_len}")
-    if window_lo is not None and window_lo < 0:
-        raise QuiverError(f"window_lo must be at least 0, got {window_lo}")
-    if window_lo is not None and window_lo > max_len:
-        raise QuiverError(f"window_lo must be at most max_len ({max_len}), got {window_lo}")
     if not validate_string_algebra(q).holds:
         raise QuiverError("census expects a string algebra")
-    bands = enumerate_bands(q, max_len)
-    if window_lo is None:
-        longest = max((b.length() for b in bands), default=0)
-        window_lo = min(2 * longest, max_len) if longest else max_len
-    strings, bricks = _census_counts(q, max_len)
+    strings = _string_counts(q, max_len)
+    bricks, exhausted_at = _brick_walk(q, max_len)
     per_length = {l: (strings[l], bricks[l]) for l in range(max_len + 1)}
-    window = range(window_lo + 1, max_len + 1)
-    stabilized = bool(window) and all(per_length[l][1] == 0 for l in window)
-    return CensusReport(per_length, bands, stabilized, max_len, window_lo)
+    return CensusReport(per_length, enumerate_bands(q, max_len), max_len, exhausted_at)
 
 
-def _census_counts(q: BoundQuiver, max_len: int) -> tuple[list[int], list[int]]:
-    """Canonical strings and bricks of each length up to ``max_len``.
-
-    Strings are counted without building them: every non-empty string
-    differs from its inverse (see ``words._is_canonical``), so the canonical
-    strings of length ``n`` are half the code walks of length ``n`` that pass
-    the step rule, counted length by length over their windows (see
-    ``quiver._step_window``).
+def _brick_walk(q: BoundQuiver, max_len: int) -> tuple[list[int], int | None]:
+    """Canonical bricks of each length up to ``max_len``, and the length
+    ``exhausted_at`` from which on no string is a brick, or None.
 
     Bricks are found by one depth-first walk over the code walks of both
     orientations, as in ``enumerate_strings``; a brick is counted when its
@@ -82,7 +68,7 @@ def _census_counts(q: BoundQuiver, max_len: int) -> tuple[list[int], list[int]]:
 
     - ``suf[i]``, the trie node of the suffix ``c[i:n-1]`` for
       ``i = 0..n-1`` (``suf[n-1]`` is the root of the vertex where the last
-      code starts).  The trie, one per census, maps ``(node, code)`` to the
+      code starts).  The trie, one per walk, maps ``(node, code)`` to the
       node of the word one code longer.  A node's key names the class of
       its word up to inversion: it is the handle of the class's first node.
       A root, the node of a lazy middle, is its own key.  Each node points
@@ -101,17 +87,24 @@ def _census_counts(q: BoundQuiver, max_len: int) -> tuple[list[int], list[int]]:
     the tree, so once they meet, the string and its whole subtree are
     non-bricks, and the walk skips them.
 
+    So when no entry of some length ``l`` passes that test, no string of
+    length ``l`` or more is a brick, since its first ``l`` codes would
+    have passed it.  ``exhausted_at`` is one past the longest entry that
+    passed, and is set only when that is below ``max_len``: entries of
+    length ``max_len`` are leaves, and a leaf that is not canonical is
+    skipped before the test.
+
     The trie holds every factor of the words it holds, so the new nodes of
     a string are those of its longest suffixes, and a new node's twin is
     one code on from the twin of its tail: the inverse of ``c[i:]`` is the
     inverse of ``c[i+1:]`` followed by ``c[i] ^ 1``.  A node takes its
     twin's key, or a key of its own when it has no twin yet.
     """
-    strings = _string_counts(q, max_len)
     bricks = [0] * (max_len + 1)
     bricks[0] = len(q.vertices)  # lazy modules are simple
     if not max_len:
-        return strings, bricks
+        return bricks, None
+    deepest = 0  # the length of the longest entry that passed (lazy strings: 0)
     steps = _steps(q)
     width = 2 * len(q.arrows)
     # node k has handle k * width, so (node, code) is the int handle + code;
@@ -147,6 +140,8 @@ def _census_counts(q: BoundQuiver, max_len: int) -> tuple[list[int], list[int]]:
                 continue
             qi = qi | new
             ss += (n,)
+        if n > deepest:
+            deepest = n
         t = [get(h + y) for h in suf]
         t.append(root[y])
         if leaf:
@@ -169,7 +164,7 @@ def _census_counts(q: BoundQuiver, max_len: int) -> tuple[list[int], list[int]]:
             bricks[n] += qe.isdisjoint(se) and qe.isdisjoint(si) and se.isdisjoint(qi)
         if not leaf:
             frontier += [(e, t, qs, ss, qi, si) for e in _extend(steps, c)]
-    return strings, bricks
+    return bricks, deepest + 1 if deepest + 1 < max_len else None
 
 
 def _string_counts(q: BoundQuiver, max_len: int) -> list[int]:

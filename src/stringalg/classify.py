@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .census import _check_m_max, brick_census, brick_rotation
+from .census import _brick_walk, _check_m_max, brick_rotation
 from .graphmaps import is_brick
 from .oracle import end_dim_linear
 from .quiver import (
@@ -46,10 +46,6 @@ GENERALIZED_BARBELL = "GeneralizedBarbell"
 WIND_WHEEL = "WindWheel"
 NODY = "Nody"
 OTHER = "Other"
-
-# a brick-finite verdict's census runs to this many times the longest band
-# length and checks that no brick occurs in the last band length of it
-STABILIZATION_FACTOR = 3
 
 
 @dataclass(frozen=True)
@@ -289,15 +285,6 @@ def classify_mri_sb(q: BoundQuiver) -> ClassLabel:
 # -- minimality checkers -------------------------------------------------------------
 
 
-def is_weakly_minimal_rep_infinite(q: BoundQuiver) -> bool:
-    """Rep-infinite, but every one-vertex quotient is rep-finite."""
-    if not validate_string_algebra(q).holds:
-        raise QuiverError("expects a string algebra")
-    if not band_exists(q):
-        return False
-    return all(not band_exists(quotient_by_vertex(q, v)) for v in q.vertices)
-
-
 def is_monomial_minimal_rep_infinite(q: BoundQuiver) -> bool:
     """Rep-infinite, and every single-step quotient by an arrow, a vertex, a
     nonzero path or a coefficient-1 commutativity relation is rep-finite.
@@ -346,18 +333,17 @@ class TauVerdict:
         return {"verdict": self.value, "witness": self.witness, "trace": list(self.trace)}
 
 
-def _census_witness(q: BoundQuiver) -> dict:
-    band_len = max((b.length() for b in enumerate_bands(q)), default=1)
-    # no band is longer than the census bound, so the census meets the
-    # longest band and its default window is the last band length
-    report = brick_census(q, STABILIZATION_FACTOR * band_len)
-    lo, hi = report.window_lo, report.bound_used
+def _brick_walk_witness(q: BoundQuiver) -> dict:
+    """Where the brick walk of ``q`` runs out, and the string bricks it
+    counted: all of them, once it has run out."""
+    max_len = 2 * len(q.arrows) + 2
+    bricks, exhausted_at = _brick_walk(q, max_len)
     return {
-        "kind": "census-stabilization",
+        "kind": "brick-walk",
         "algebra": q.name,
-        "window": [lo, hi],
-        "stabilized": report.stabilized,
-        "bricks_in_window": sum(report.per_length[l][1] for l in range(lo + 1, hi + 1)),
+        "max_len": max_len,
+        "exhausted_at": exhausted_at,
+        "bricks": sum(bricks),
     }
 
 
@@ -449,7 +435,9 @@ def tau_finiteness(q: BoundQuiver, m_max: int = 3) -> TauVerdict:
     2. gentle: ``Infinite`` by a brick family on a full reduction, checked
        through graph maps and the linear-algebra oracle (hereditary and
        barbell labels are gentle, so they land here);
-    3. ``WindWheel`` or ``Nody``: ``Finite`` by a bounded census;
+    3. ``WindWheel`` or ``Nody``: ``Finite`` by the paper's theorem, with
+       the length at which the brick walk runs out as witness: no string
+       of that length or more is a brick;
     4. a band reduction with a representation-infinite gentle component:
        ``Infinite``, as in step 2;
     5. otherwise ``Unknown``.
@@ -474,7 +462,7 @@ def tau_finiteness(q: BoundQuiver, m_max: int = 3) -> TauVerdict:
     label = classify_mri_sb(q0)
     if label.value in (WIND_WHEEL, NODY):
         trace.append(f"classified {label.value}: brick-finite")
-        return TauVerdict(FINITE, _census_witness(q0), tuple(trace))
+        return TauVerdict(FINITE, _brick_walk_witness(q0), tuple(trace))
     tried = []
     for band in enumerate_bands(q0):
         r = reduce(q0, band)

@@ -45,16 +45,6 @@ def _splits(c: tuple[int, ...], inverse_before: int) -> list[tuple[int, int]]:
     ]
 
 
-def quotient_factorizations(u: StringWord) -> list[tuple[int, int]]:
-    """The splits ``(i, j)`` inducing quotient maps M(u) ->> M(u[i:j])."""
-    return _splits(u.codes, 1)
-
-
-def submodule_factorizations(u: StringWord) -> list[tuple[int, int]]:
-    """The splits ``(i, j)`` inducing inclusions M(u[i:j]) -> M(u)."""
-    return _splits(u.codes, 0)
-
-
 def _key_function(c: tuple[int, ...], walk: list[str]):
     """The key of the middle ``c[i:j]`` of a string with codes ``c`` and
     walk vertices ``walk``, as a function of ``(i, j)``.

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .quiver import (
+    COMMUTATIVITY,
+    MONOMIAL,
     BoundQuiver,
     QuiverError,
     _extend,
@@ -145,8 +147,20 @@ class StringWord:
         return f"<{self.render()}>"
 
 
+def _check_monomial(q: BoundQuiver) -> None:
+    """Strings and bands are read off monomial relations: the step rule
+    treats both paths of a commutativity relation as nonzero, so on such a
+    quiver it finds walks the algebra does not have (read them on
+    ``quiver.monomialize(q)`` instead)."""
+    if any(r.kind != MONOMIAL for r in q.relations):
+        raise QuiverError(
+            f"{q.name!r} has a commutativity relation; strings and bands need monomial relations"
+        )
+
+
 def word_from_text(q: BoundQuiver, text: str) -> StringWord:
     """Parse the printed form; ``e(x)`` stands for the lazy word at ``x``."""
+    _check_monomial(q)
     text = text.strip()
     if text.startswith("e(") and text.endswith(")"):
         v = text[2:-1]
@@ -207,15 +221,11 @@ def _is_canonical(c: tuple[int, ...]) -> bool:
     return first < inv_first or (first == inv_first and c < _inverse_codes(c))
 
 
-def canonical_string(w: StringWord) -> StringWord:
-    """The smaller of ``w`` and its inverse in the letter order."""
-    return w if not w.codes or _is_canonical(w.codes) else w.inverse()
-
-
 def enumerate_strings(q: BoundQuiver, max_len: int) -> list[StringWord]:
     """All canonical strings of length at most ``max_len``, sorted."""
     if max_len < 0:
         raise QuiverError(f"max_len must be at least 0, got {max_len}")
+    _check_monomial(q)
     canonical = []
     if max_len:
         steps = _steps(q)
@@ -292,10 +302,6 @@ def canonical_band(w: StringWord) -> BandClass:
     return BandClass(StringWord(w.quiver, _least_rotation(w.codes)))
 
 
-def supports_once_per_direction(w: StringWord) -> bool:
-    return len(set(w.codes)) == len(w.codes)
-
-
 def enumerate_bands(q: BoundQuiver, max_len: int | None = None) -> list[BandClass]:
     """Band classes supporting each arrow at most once per direction, with
     representative length at most ``max_len`` (default: all of them).
@@ -304,6 +310,7 @@ def enumerate_bands(q: BoundQuiver, max_len: int | None = None) -> list[BandClas
     lost for existence or reduction questions.  Such a band uses each code
     at most once, so none is longer than ``2 |Q1|``.
     """
+    _check_monomial(q)
     if max_len is None:
         return list(_bands(q))
     if max_len < 0:
@@ -362,8 +369,6 @@ class Representation:
         return m
 
     def relations_hold(self) -> bool:
-        from .quiver import COMMUTATIVITY, MONOMIAL
-
         for r in self.quiver.relations:
             if r.kind == MONOMIAL:
                 if any(x for row in self.matrix_of_path(r.path1) for x in row):

@@ -123,8 +123,8 @@ def test_criterion_06_wind_wheel(windwheel):
     bands = enumerate_bands(windwheel, 2 * len(windwheel.arrows))
     assert len(bands) == 1
     lv = bands[0].length()
-    report = brick_census(windwheel, 3 * lv, window_lo=2 * lv)
-    assert report.stabilized
+    report = brick_census(windwheel, 3 * lv)
+    assert report.exhausted_at is not None and report.exhausted_at <= 2 * lv
     assert all(report.per_length[l][1] == 0 for l in range(2 * lv + 1, 3 * lv + 1))
     assert tau_finiteness(windwheel).value == "Finite"
     _passed(6, "wind wheel")
@@ -139,8 +139,9 @@ def test_criterion_07_nody_family(corpus):
     (nn,), _ = resolve_nodes(d2)
     assert len(nn.vertices) == 6
     assert classify_node_free(nn).value == "HereditaryAn"
-    census = brick_census(d2, 8, window_lo=2)
+    census = brick_census(d2, 8)
     assert all(census.per_length[l][1] == 0 for l in range(3, 9))
+    assert census.exhausted_at == 4
     assert tau_finiteness(corpus["double_a1"]).value == "Infinite"
     assert tau_finiteness(corpus["double_a3"]).value == "Infinite"
     _passed(7, "nody family")

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stringalg.census import brick_census, brick_rotation, unique_brick_band_scan
-from stringalg.classify import barbell_brick_family, classify_node_free
-from stringalg.fixtures import bongartz_e, load_fixture
+from stringalg.classify import barbell_brick_family, classify_node_free, tau_finiteness
+from stringalg.fixtures import bongartz_e, bongartz_glued, double_cycle, load_fixture
+from stringalg.graphmaps import is_brick
 from stringalg.quiver import QuiverError, parse_quiver, validate_string_algebra
-from stringalg.words import canonical_band, enumerate_bands, word_from_text
+from stringalg.words import canonical_band, enumerate_bands, enumerate_strings, word_from_text
 
 from test_step_table import special_quivers
 
@@ -17,25 +18,18 @@ def test_one_vertex_census():
     report = brick_census(q, 5)
     assert report.per_length[0] == (1, 1)
     assert all(report.per_length[l] == (0, 0) for l in range(1, 6))
-    # no band: the default window (5, 5] is empty, so nothing was checked
-    assert not report.stabilized
-    assert brick_census(q, 5, window_lo=0).stabilized
-
-
-def test_census_rejects_an_inverted_window(lambda3):
-    with pytest.raises(QuiverError, match="window_lo must be at most max_len"):
-        brick_census(lambda3, 4, window_lo=9)
-    # an empty window is allowed; it checks nothing
-    report = brick_census(lambda3, 4, window_lo=4)
-    assert report.window_lo == 4 and not report.stabilized
+    # no string of positive length: the walk runs out at once
+    assert report.exhausted_at == 1
+    # a walk to length 1 shows nothing beyond it
+    assert brick_census(q, 1).exhausted_at is None
 
 
 def test_double_cycle_census_stabilizes():
     q = load_fixture("double_a2")
-    report = brick_census(q, 8, window_lo=2)
+    report = brick_census(q, 8)
     assert [b.length() for b in report.bands] == [6]
     assert all(report.per_length[l][1] == 0 for l in range(3, 9))
-    assert report.stabilized
+    assert report.exhausted_at == 4
     # there are bricks at small lengths, so the census is not vacuous
     assert report.per_length[0][1] > 0
 
@@ -189,7 +183,8 @@ def test_census_kernel_agrees_with_public_is_brick_to_length_9(corpus):
     ids=["bongartz_e_2_1_2", "bongartz_e_1_1_1", "double_a4", "windwheel_a12"],
 )
 def test_census_kernel_agrees_with_public_is_brick_on_tau_windows(build, max_len):
-    # the windows of tau's census witness on these inputs
+    # three times the longest band length of each input, well past where
+    # its brick walk runs out
     q = build()
     got = {l: list(v) for l, v in brick_census(q, max_len).per_length.items()}
     expected = _public_counts(q, max_len)
@@ -205,3 +200,51 @@ def test_census_kernel_agrees_with_public_is_brick_on_random_quivers(q, max_len)
     # the twin pointers
     got = {l: list(v) for l, v in brick_census(q, max_len).per_length.items()}
     assert got == _public_counts(q, max_len), q.to_text()
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(special_quivers(), st.integers(min_value=0, max_value=8))
+def test_no_brick_from_where_the_walk_runs_out_on_random_quivers(q, max_len):
+    exhausted_at = brick_census(q, max_len).exhausted_at
+    if exhausted_at is None:
+        return
+    longer = [w for w in enumerate_strings(q, max_len + 4) if len(w) >= exhausted_at]
+    assert not any(is_brick(w) for w in longer), q.to_text()
+
+
+_INFINITE_FIXTURES = (
+    "a9 atilde5 atilde5_pendant barbell_a9 barbell_a9b bongartz_a_1_1 bongartz_a_2_1 disjoint_bands"
+    " double_a1 double_a3 gb22 lambda2 lambda3 lambda4 loops_barbell zero_bar_gb"
+).split()
+
+
+@pytest.mark.parametrize("name", _INFINITE_FIXTURES)
+def test_infinite_fixtures_do_not_run_out(name):
+    q = load_fixture(name)
+    assert tau_finiteness(q).value == "Infinite"
+    assert brick_census(q, 2 * len(q.arrows) + 2).exhausted_at is None
+
+
+def test_big_gentle_does_not_run_out_at_length_16(big_gentle):
+    # the seventeenth Infinite fixture; a walk to its 2 |Q1| + 2 = 82 costs seconds
+    assert tau_finiteness(big_gentle).value == "Infinite"
+    assert brick_census(big_gentle, 16).exhausted_at is None
+
+
+# the brick-finite shapes of double_cycle, bongartz_glued and bongartz_e in
+# the benchmark's family list, with their two orientations
+_FINITE_FAMILY_SHAPES = (
+    [double_cycle(n) for n in (2, 4)]
+    + [bongartz_glued(p, q) for p, q in ((1, 1), (2, 1), (2, 2), (3, 2), (4, 2), (4, 3), (4, 4))]
+    + [bongartz_glued(q, p) for p, q in ((2, 1), (3, 2), (4, 2), (4, 3))]
+    + [
+        bongartz_e(*p)
+        for p in ((1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2), (2, 2, 1), (2, 1, 2), (1, 2, 2))
+    ]
+)
+
+
+@pytest.mark.parametrize("q", _FINITE_FAMILY_SHAPES, ids=lambda q: q.name)
+def test_finite_family_shapes_run_out_by_twice_the_arrows(q):
+    exhausted_at = brick_census(q, 2 * len(q.arrows) + 2).exhausted_at
+    assert exhausted_at is not None and exhausted_at <= 2 * len(q.arrows) + 1

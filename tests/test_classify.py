@@ -12,7 +12,6 @@ from stringalg.classify import (
     classify_node_free,
     gentle_hom_report,
     is_monomial_minimal_rep_infinite,
-    is_weakly_minimal_rep_infinite,
     tau_finiteness,
 )
 from stringalg.cli import main
@@ -23,12 +22,13 @@ from stringalg.quiver import (
     monomialize,
     nodes,
     parse_quiver,
+    quotient_by_vertex,
     validate_gentle,
     validate_special_biserial,
     validate_string_algebra,
 )
 from stringalg.transforms import reduce, resolve_nodes, trim, weak_reduce
-from stringalg.words import enumerate_bands, string_module, word_from_text
+from stringalg.words import band_exists, enumerate_bands, string_module, word_from_text
 from stringalg.graphmaps import is_brick
 from stringalg.oracle import end_dim_linear
 
@@ -104,9 +104,13 @@ def test_nody_resolution_matches(corpus):
 
 
 def test_weak_minimality(corpus):
-    assert is_weakly_minimal_rep_infinite(corpus["atilde5"])
-    assert not is_weakly_minimal_rep_infinite(corpus["disjoint_bands"])
-    assert not is_weakly_minimal_rep_infinite(corpus["linear_a5"])
+    # rep-infinite, while every one-vertex quotient is rep-finite
+    def weakly_minimal(q):
+        return band_exists(q) and not any(band_exists(quotient_by_vertex(q, v)) for v in q.vertices)
+
+    assert weakly_minimal(corpus["atilde5"])
+    assert not weakly_minimal(corpus["disjoint_bands"])
+    assert not weakly_minimal(corpus["linear_a5"])
 
 
 def test_monomial_minimality(corpus, big_gentle):
@@ -175,11 +179,31 @@ def test_tau_infinite_witness_reverifies(corpus):
     assert is_brick(rot) and end_dim_linear(string_module(rot)) == 1
 
 
-def test_tau_finite_witness_is_stabilized(corpus):
-    v = tau_finiteness(corpus["double_a2"])
-    assert v.witness["kind"] == "census-stabilization"
-    assert v.witness["stabilized"] is True
-    assert v.witness["bricks_in_window"] == 0
+@pytest.mark.parametrize(
+    "name, exhausted_at, bricks",
+    [
+        ("bongartz_ag_1_1", 2, 1),
+        ("bongartz_ag_2_1", 3, 4),
+        ("bongartz_e_1_1_1", 6, 5),
+        ("bongartz_e_2_1_2", 11, 22),
+        ("double_a2", 4, 15),
+        ("double_a4", 6, 45),
+        ("windwheel_a12", 18, 104),
+    ],
+)
+def test_tau_finite_witness_is_the_brick_walk(name, exhausted_at, bricks, corpus):
+    # every WindWheel and Nody fixture; the bricks include the lazy ones
+    q = corpus[name]
+    v = tau_finiteness(q)
+    assert v.value == "Finite"
+    assert v.trace[-1].endswith("brick-finite")
+    assert v.witness == {
+        "kind": "brick-walk",
+        "algebra": q.name,
+        "max_len": 2 * len(q.arrows) + 2,
+        "exhausted_at": exhausted_at,
+        "bricks": bricks,
+    }
 
 
 def _check_hereditary_and_barbell_labels_are_gentle(q):

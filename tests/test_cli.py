@@ -8,6 +8,7 @@ import pytest
 from stringalg import cli
 from stringalg.cli import main
 from stringalg.fixtures import fixture_names, load_fixture
+from stringalg.quiver import monomialize
 
 # no step of the tau cascade decides this algebra: its verdict is Unknown
 UNKNOWN_QUIVER = """quiver unknown
@@ -148,16 +149,39 @@ def test_census_subcommand_text_table(tmp_path):
     assert "len strings bricks" in proc.stdout
 
 
-def test_census_empty_window_is_not_stabilized(capsys):
-    # big_gentle's longest band has length 8, so the default window is
-    # [min(16, 8), 8]: empty, while 90 bricks have length 8
+def test_census_walk_that_does_not_run_out_reports_none(capsys):
+    # big_gentle has 90 bricks of length 8, so its walk is still live there
     assert main(["census", "fixture:big_gentle", "--max-len", "8"]) == 0
     census = json.loads(capsys.readouterr().out)["census"]
-    assert census["window"] == [8, 8]
     assert census["per_length"]["8"][1] == 90
-    assert census["stabilized"] is False
-    assert main(["--format", "text", "census", "fixture:big_gentle", "--max-len", "8", "--window", "7"]) == 0
-    assert "stabilized: False" in capsys.readouterr().out.splitlines()
+    assert census["exhausted_at"] is None
+    assert "window" not in census and "stabilized" not in census
+    assert main(["--format", "text", "census", "fixture:big_gentle", "--max-len", "8"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "exhausted_at: none"
+    assert main(["--format", "text", "census", "fixture:windwheel_a12", "--max-len", "20"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "exhausted_at: 18"
+
+
+def test_strings_and_bands_are_those_of_the_monomial_form_or_an_input_error(tmp_path, capsys):
+    # the step rule reads no commutativity relation, so a quiver with one
+    # exits 2 instead of listing walks of another algebra
+    exits = set()
+    for name in fixture_names():
+        q = load_fixture(name)
+        q0 = monomialize(q)
+        path = tmp_path / f"{name}.monomial.quiver"
+        path.write_text(q0.to_text(), encoding="utf-8")
+        for cmd in ("strings", "bands"):
+            rc = main([cmd, f"fixture:{name}"])
+            out = capsys.readouterr()
+            if q0 is not q:
+                assert rc == 2 and out.out == "" and len(out.err.splitlines()) == 1, (name, cmd)
+                exits.add(name)
+                continue
+            assert rc == 0
+            assert main([cmd, str(path)]) == 0
+            assert json.loads(capsys.readouterr().out)[cmd] == json.loads(out.out)[cmd], (name, cmd)
+    assert exits == {"lambda1"}
 
 
 def test_census_brick_bands_are_the_listed_bands_up_to_max_len(capsys):
@@ -201,7 +225,7 @@ def test_trim_subcommand_components(tmp_path):
         (["brick", "fixture:lambda3", "beta alpha"], "beta alpha is not a string"),
         (["hom", "fixture:lambda3", "beta alpha", "e(1)"], "beta alpha is not a string"),
         (["census", "fixture:lambda3", "--max-len", "-1"], "max_len must be at least 0"),
-        (["census", "fixture:lambda3", "--window", "-2"], "window_lo must be at least 0"),
+        (["strings", "fixture:lambda1"], "'lambda1' has a commutativity relation"),
         (["strings", "fixture:lambda3", "--max-len", "-1"], "max_len must be at least 0"),
         (["tau", "fixture:lambda3", "--m-max", "0"], "m_max must be at least 1"),
         (["reduce", "fixture:lambda3", "--band", "-1"], "band index -1 out of range"),
@@ -210,8 +234,8 @@ def test_trim_subcommand_components(tmp_path):
         (["tau", "fixture:linear_a5", "--m-max", "0"], "m_max must be at least 1"),
         # an empty range of exponents used to pass every band
         (["census", "fixture:bongartz_ag_1_1", "--max-len", "8", "--m-max", "-1"], "m_max must be at least 0"),
-        # an inverted window used to be reported as checked nothing
-        (["census", "fixture:lambda3", "--max-len", "4", "--window", "9"], "window_lo must be at most max_len"),
+        # word_from_text used to read strings off a commutativity relation
+        (["hom", "fixture:lambda1", "beta", "e(3)"], "'lambda1' has a commutativity relation"),
     ],
 )
 def test_bad_arguments_are_input_errors(argv, message, capsys):

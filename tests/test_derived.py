@@ -9,7 +9,7 @@ import pytest
 
 from stringalg import census, classify, cli, fixtures, graphmaps, oracle, quiver, transforms, words
 from stringalg.cli import main
-from stringalg.quiver import QuiverError
+from stringalg.quiver import QuiverError, monomialize
 
 MODULES = (quiver, words, graphmaps, oracle, transforms, classify, census, fixtures, cli)
 
@@ -95,9 +95,10 @@ def _outcomes(q):
 
 def test_memoised_results_equal_a_fresh_computation(corpus):
     for name, q in corpus.items():
-        bands = words.enumerate_bands(q)
+        p = monomialize(q)  # bands are listed on monomial relations only
+        bands = words.enumerate_bands(p)
         bands.append("not a band")
-        assert "not a band" not in words.enumerate_bands(q), name
+        assert "not a band" not in words.enumerate_bands(p), name
         assert _outcomes(q) == _outcomes(q.rename("copy")), name
 
 
