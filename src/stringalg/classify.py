@@ -411,12 +411,12 @@ def barbell_brick_family(label: ClassLabel, m_max: int) -> BrickFamilyWitness:
     return BrickFamilyWitness(canonical_band(w), w, tuple(exponents), construction)
 
 
-def _reduced_family_witness(q: BoundQuiver, m_max: int) -> dict:
+def _reduced_family_witness(q: BoundQuiver) -> dict:
     """Brick-family witness on the smallest full reduction of a
-    representation-infinite gentle algebra."""
+    representation-infinite gentle algebra, checked for the powers 1 to 3."""
     red, _ = min(fully_reduce(q), key=lambda t: (len(t[0].vertices), len(t[0].arrows), t[0].name))
     label = classify_node_free(red)
-    fam = barbell_brick_family(label, m_max)
+    fam = barbell_brick_family(label, 3)
     return {
         "kind": "brick-family",
         "algebra": red.name,
@@ -427,7 +427,7 @@ def _reduced_family_witness(q: BoundQuiver, m_max: int) -> dict:
     }
 
 
-def tau_finiteness(q: BoundQuiver, m_max: int = 3) -> TauVerdict:
+def tau_finiteness(q: BoundQuiver) -> TauVerdict:
     """Decision cascade for tau-tilting finiteness of a special biserial
     algebra, on its monomial form:
 
@@ -442,7 +442,6 @@ def tau_finiteness(q: BoundQuiver, m_max: int = 3) -> TauVerdict:
        ``Infinite``, as in step 2;
     5. otherwise ``Unknown``.
     """
-    _check_m_max(m_max)
     if not validate_special_biserial(q).holds:
         raise QuiverError("tau-finiteness expects a special biserial algebra")
     trace = []
@@ -458,7 +457,7 @@ def tau_finiteness(q: BoundQuiver, m_max: int = 3) -> TauVerdict:
         )
     if validate_gentle(q0).holds:
         trace.append("gentle with a band: infinite via full reduction")
-        return TauVerdict(INFINITE, _reduced_family_witness(q0, m_max), tuple(trace))
+        return TauVerdict(INFINITE, _reduced_family_witness(q0), tuple(trace))
     label = classify_mri_sb(q0)
     if label.value in (WIND_WHEEL, NODY):
         trace.append(f"classified {label.value}: brick-finite")
@@ -472,7 +471,7 @@ def tau_finiteness(q: BoundQuiver, m_max: int = 3) -> TauVerdict:
             tried.append(comp.name)
             if validate_gentle(comp).holds and band_exists(comp):
                 trace.append(f"band reduction {band.render()} is rep-infinite gentle")
-                return TauVerdict(INFINITE, _reduced_family_witness(comp, m_max), tuple(trace))
+                return TauVerdict(INFINITE, _reduced_family_witness(comp), tuple(trace))
     trace.append("no witness found")
     return TauVerdict(UNKNOWN, {"kind": "attempted", "reductions": tried}, tuple(trace))
 

@@ -167,13 +167,13 @@ def cmd_fully_reduce(q, args):
     return payload, [r.to_text() for r, _ in outs], False
 
 
-def _class_report(q, m_max: int = 3) -> dict:
+def _class_report(q) -> dict:
     """Combined label + tau verdict document shared by classify and tau."""
     if nodes(q) or not validate_string_algebra(q).holds:
         label = classify_mri_sb(q)
     else:
         label = classify_node_free(q)
-    verdict = tau_finiteness(q, m_max=m_max)
+    verdict = tau_finiteness(q)
     return {"classification": label.to_json(), "tau": verdict.to_json()}
 
 
@@ -185,7 +185,7 @@ def cmd_classify(q, args):
 
 
 def cmd_tau(q, args):
-    payload = _class_report(q, m_max=args.m_max)
+    payload = _class_report(q)
     verdict = payload["tau"]["verdict"]
     return payload, [verdict], verdict == "Unknown"
 
@@ -227,10 +227,18 @@ def cmd_fixtures(q, args):
     return {"fixtures": names}, names, False
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error as an input error, in one line, instead of
+    printing the usage and exiting."""
+
+    def error(self, message: str):
+        raise QuiverError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; parsing never mutates it."""
-    p = argparse.ArgumentParser(
+    p = _ArgumentParser(
         prog="stringalg",
         description="string algebra combinatorics and tau-tilting finiteness",
     )
@@ -286,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("quiver")
     sp = add("tau", cmd_tau, help="tau-tilting finiteness verdict")
     sp.add_argument("quiver")
-    sp.add_argument("--m-max", type=int, default=3)
     sp = add("gorenstein", cmd_gorenstein, help="homological report for gentle algebras")
     sp.add_argument("quiver")
     sp = add("xcheck", cmd_xcheck, help="graph maps vs linear-algebra oracle")
@@ -299,8 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         # by name: a tracer may rebind the cmd_* functions
         q, text = (None, None) if args.cmd == "fixtures" else _load(args.quiver)
         payload, lines, failed = args.fn(q, args)

@@ -14,22 +14,10 @@ class UnknownFixtureError(QuiverError):
     """Raised when a fixture name is not in the corpus."""
 
 
-_FILE_FIXTURES = (
-    "lambda1",
-    "lambda2",
-    "lambda3",
-    "lambda4",
-    "a9",
-    "loops_barbell",
-    "zero_bar_gb",
-    "gb22",
-    "linear_a5",
-    "atilde5",
-    "atilde5_pendant",
-    "disjoint_bands",
-    "windwheel_a12",
-    "big_gentle",
-)
+def _file_fixture_names() -> list[str]:
+    """The names of the ``.quiver`` files shipped in ``stringalg.data``."""
+    files = resources.files("stringalg.data").iterdir()
+    return [f.name[: -len(".quiver")] for f in files if f.name.endswith(".quiver")]
 
 
 def load_file_fixture(name: str) -> BoundQuiver:
@@ -132,12 +120,12 @@ _BUILDERS = {
 
 
 def fixture_names() -> list[str]:
-    return sorted(set(_FILE_FIXTURES) | set(_BUILDERS))
+    return sorted(set(_file_fixture_names()) | set(_BUILDERS))
 
 
 def load_fixture(name: str) -> BoundQuiver:
     if name in _BUILDERS:
         return _BUILDERS[name]()
-    if name in _FILE_FIXTURES:
+    if name in _file_fixture_names():  # never open a path built from an unknown name
         return load_file_fixture(name)
     raise UnknownFixtureError(f"unknown fixture {name!r}; known: {', '.join(fixture_names())}")

@@ -359,89 +359,62 @@ def fully_reduce(a: BoundQuiver) -> list[tuple[BoundQuiver, TransformTrace]]:
 # -- quiver isomorphism --------------------------------------------------------------
 
 
-def _degree_signature(q: BoundQuiver, v: str) -> tuple[int, int]:
-    return (len(q.incoming(v)), len(q.outgoing(v)))
-
-
 def quivers_isomorphic(q1: BoundQuiver, q2: BoundQuiver) -> bool:
     """Exhaustive isomorphism test for small bound quivers.
 
-    Tries vertex bijections compatible with degree signatures, then arrow
-    bijections within parallel classes, and compares relation sets.
-    Exponential in the worst case; intended for fully reduced outputs.
+    One backtracking search maps the arrows of ``q1`` in an order where
+    each arrow after the first of its component touches a vertex already
+    mapped, trying it only against the arrows of ``q2`` in the same role at
+    that vertex's image.  The vertex map grows with the arrow map and stays
+    injective; a relation is checked once its last arrow is mapped.
+    Vertices without arrows match by count.  Exponential in the worst case.
     """
-    if (
-        len(q1.vertices) != len(q2.vertices)
-        or len(q1.arrows) != len(q2.arrows)
-        or len(q1.relations) != len(q2.relations)
+    keys1, keys2 = ({r.key() for r in q.relations} for q in (q1, q2))
+    # with as many distinct keys, keys that all land in keys2 cover it
+    if (len(q1.vertices), len(q1.arrows), len(q1.relations), len(keys1)) != (
+        len(q2.vertices), len(q2.arrows), len(q2.relations), len(keys2)
     ):
         return False
-    sig1 = sorted(_degree_signature(q1, v) for v in q1.vertices)
-    sig2 = sorted(_degree_signature(q2, v) for v in q2.vertices)
-    if sig1 != sig2:
-        return False
 
-    order = sorted(q1.vertices, key=lambda v: (_degree_signature(q1, v), q1.vertex_index[v]))
-    used: set[str] = set()
-    mapping: dict[str, str] = {}
+    # each arrow with an end mapped before it (None for a component's first)
+    order: list[tuple[Arrow, str | None]] = []
+    reached: set[str] = set()
+    rest = list(q1.arrows)
+    while rest:
+        a = next((a for a in rest if a.src in reached or a.tgt in reached), rest[0])
+        rest.remove(a)
+        order.append((a, a.src if a.src in reached else a.tgt if a.tgt in reached else None))
+        reached.update((a.src, a.tgt))
+    position = {a.name: k for k, (a, _) in enumerate(order)}
+    closes: list[list[Relation]] = [[] for _ in order]
+    for r in q1.relations:
+        closes[max(position[x] for x in r.arrows())].append(r)
 
-    def arrows_between(q: BoundQuiver, u: str, v: str) -> int:
-        return sum(1 for a in q.outgoing(u) if a.tgt == v)
+    # one bijection on names: a quiver's vertex and arrow names are disjoint
+    image: dict[str, str] = {}
+    preimage: dict[str, str] = {}
 
-    def assign(k: int) -> bool:
+    def mapped_key(r: Relation) -> tuple:
+        return Relation(r.kind, tuple(image[x] for x in r.path1), tuple(image[x] for x in r.path2)).key()
+
+    def extend(k: int) -> bool:
         if k == len(order):
-            return _match_arrows(q1, q2, mapping)
-        v = order[k]
-        for w in q2.vertices:
-            if w in used or _degree_signature(q2, w) != _degree_signature(q1, v):
+            return True
+        a, v = order[k]
+        for b in q2.arrows if v is None else (q2.outgoing if v == a.src else q2.incoming)(image[v]):
+            pairs = {a.name: b.name, a.src: b.src, a.tgt: b.tgt}  # two entries for a loop
+            if len(pairs) != len({b.name, b.src, b.tgt}) or any(
+                image.get(x, y) != y or preimage.get(y, x) != x for x, y in pairs.items()
+            ):
                 continue
-            ok = True
-            for u, mu in mapping.items():
-                if arrows_between(q1, v, u) != arrows_between(q2, w, mu):
-                    ok = False
-                    break
-                if arrows_between(q1, u, v) != arrows_between(q2, mu, w):
-                    ok = False
-                    break
-            if arrows_between(q1, v, v) != arrows_between(q2, w, w):
-                ok = False
-            if not ok:
-                continue
-            mapping[v] = w
-            used.add(w)
-            if assign(k + 1):
+            new = [x for x in pairs if x not in image]
+            for x in new:
+                image[x] = pairs[x]
+                preimage[pairs[x]] = x
+            if all(mapped_key(r) in keys2 for r in closes[k]) and extend(k + 1):
                 return True
-            del mapping[v]
-            used.remove(w)
+            for x in new:
+                del preimage[image.pop(x)]
         return False
 
-    return assign(0)
-
-
-def _match_arrows(q1: BoundQuiver, q2: BoundQuiver, vmap: dict[str, str]) -> bool:
-    groups: dict[tuple[str, str], list[str]] = {}
-    for a in q1.arrows:
-        groups.setdefault((a.src, a.tgt), []).append(a.name)
-    targets: dict[tuple[str, str], list[str]] = {}
-    for a in q2.arrows:
-        targets.setdefault((a.src, a.tgt), []).append(a.name)
-    keys = []
-    choices = []
-    for (u, v), names in groups.items():
-        cand = targets.get((vmap[u], vmap[v]), [])
-        if len(cand) != len(names):
-            return False
-        keys.append(names)
-        choices.append(list(itertools.permutations(cand)))
-    rels2 = {r.key() for r in q2.relations}
-    for combo in itertools.product(*choices):
-        amap = {}
-        for names, perm in zip(keys, combo):
-            amap.update(dict(zip(names, perm)))
-        mapped = {
-            Relation(r.kind, tuple(amap[x] for x in r.path1), tuple(amap[x] for x in r.path2)).key()
-            for r in q1.relations
-        }
-        if mapped == rels2:
-            return True
-    return False
+    return extend(0)

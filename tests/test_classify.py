@@ -1,3 +1,6 @@
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 
@@ -32,7 +35,7 @@ from stringalg.words import band_exists, enumerate_bands, string_module, word_fr
 from stringalg.graphmaps import is_brick
 from stringalg.oracle import end_dim_linear
 
-from test_step_table import special_quivers
+from test_step_table import random_string_quiver, special_quivers
 
 
 def test_classify_barbell_stage_one():
@@ -154,14 +157,6 @@ def test_tau_verdicts(name, verdict):
     assert tau_finiteness(load_fixture(name)).value == verdict
 
 
-@pytest.mark.parametrize("name", ["linear_a5", "bongartz_ag_1_1", "a9", "zero_bar_gb"])
-def test_tau_rejects_m_max_below_one_on_every_path(name):
-    # checked up front, not only once a brick family is built
-    for m_max in (0, -1):
-        with pytest.raises(QuiverError, match="m_max must be at least 1"):
-            tau_finiteness(load_fixture(name), m_max=m_max)
-
-
 def test_tau_infinite_witness_reverifies(corpus):
     v = tau_finiteness(corpus["zero_bar_gb"])
     assert v.value == "Infinite"
@@ -228,6 +223,26 @@ def test_hereditary_and_barbell_labels_are_gentle_on_the_corpus(corpus):
 def test_hereditary_and_barbell_labels_are_gentle_on_random_quivers(q):
     if is_finite_dimensional(q):
         _check_hereditary_and_barbell_labels_are_gentle(q)
+
+
+def test_verdict_table_of_the_seeded_random_sample():
+    # 600 finite-dimensional draws with an arrow per seed; a change that
+    # decides some Unknown algebras updates this table
+    table, draws = Counter(), 0
+    for seed in (23, 37):
+        rng, kept = random.Random(seed), 0
+        while kept < 600:
+            q = random_string_quiver(rng)
+            draws += 1
+            if not q.arrows or not is_finite_dimensional(q):
+                continue
+            kept += 1
+            verdict = tau_finiteness(q).value
+            table[verdict] += 1
+            if verdict == "Unknown" and len(q.vertices) == 1:
+                table["local Unknown"] += 1
+    assert draws == 1557
+    assert table == {"Finite": 655, "Infinite": 365, "Unknown": 180, "local Unknown": 85}
 
 
 _UNKNOWN = """quiver unknown

@@ -227,11 +227,12 @@ def test_trim_subcommand_components(tmp_path):
         (["census", "fixture:lambda3", "--max-len", "-1"], "max_len must be at least 0"),
         (["strings", "fixture:lambda1"], "'lambda1' has a commutativity relation"),
         (["strings", "fixture:lambda3", "--max-len", "-1"], "max_len must be at least 0"),
-        (["tau", "fixture:lambda3", "--m-max", "0"], "m_max must be at least 1"),
+        # usage errors are input errors too: one line, not the usage block
+        (["census", "fixture:a9", "--max-len", "abc"], "argument --max-len: invalid int value: 'abc'"),
         (["reduce", "fixture:lambda3", "--band", "-1"], "band index -1 out of range"),
         (["bands", "fixture:lambda3", "--max-len", "-1"], "max_len must be at least 0"),
-        # a band-free algebra used to answer Finite before m_max was checked
-        (["tau", "fixture:linear_a5", "--m-max", "0"], "m_max must be at least 1"),
+        # tau checks its brick families for the powers 1 to 3 and takes no --m-max
+        (["tau", "fixture:a9", "--m-max", "3"], "unrecognized arguments: --m-max 3"),
         # an empty range of exponents used to pass every band
         (["census", "fixture:bongartz_ag_1_1", "--max-len", "8", "--m-max", "-1"], "m_max must be at least 0"),
         # word_from_text used to read strings off a commutativity relation
@@ -281,10 +282,12 @@ def test_unreadable_input_is_an_input_error(content, tmp_path, capsys):
 
 
 def test_unknown_fixture_message(capsys):
-    assert main(["validate", "fixture:nope"]) == 2
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("error: unknown fixture 'nope'")
+    # a name is looked up among the fixtures before any file is opened
+    for name in ("nope", "../a9", "__init__"):
+        assert main(["validate", f"fixture:{name}"]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: unknown fixture {name!r}")
 
 
 @pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])

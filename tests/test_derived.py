@@ -76,9 +76,7 @@ def test_cli_parser_is_built_once(capsys):
     assert cli.build_parser() is cli.build_parser()
     # the shared parser still rejects bad arguments with exit 2 after a good run
     assert main(["validate", "fixture:lambda3"]) == 0
-    with pytest.raises(SystemExit) as exc:
-        main(["census", "fixture:lambda3", "--max-len", "x"])
-    assert exc.value.code == 2
+    assert main(["census", "fixture:lambda3", "--max-len", "x"]) == 2
     assert main(["validate", "fixture:lambda2"]) == 0
     capsys.readouterr()
 

@@ -17,28 +17,38 @@ from stringalg.quiver import (
 )
 from stringalg.words import band_exists, enumerate_bands
 
-def _chance(draw, tenths: int) -> bool:
-    return draw(st.integers(min_value=0, max_value=9)) < tenths
+
+class _Draws:
+    """``random.Random``'s ``randint`` and ``choice`` over a Hypothesis ``draw``."""
+
+    def __init__(self, draw):
+        self.draw = draw
+
+    def randint(self, a: int, b: int) -> int:
+        return self.draw(st.integers(min_value=a, max_value=b))
+
+    def choice(self, xs):
+        return self.draw(st.sampled_from(xs))
 
 
-@st.composite
-def special_quivers(draw, max_vertices: int = 7) -> BoundQuiver:
+def random_string_quiver(rng, max_vertices: int = 7) -> BoundQuiver:
     """A connected quiver with in- and out-degree at most 2 and monomial
     relations that make it a string algebra, possibly infinite dimensional:
-    the largest component of a random one.
+    the largest component of a random one.  ``rng`` is a ``random.Random``
+    or the ``_Draws`` of a Hypothesis strategy.
 
     At an arrow with two successors one or both compositions die; a lone
     composition dies with chance 0.3; of the live predecessors of an arrow
     one at most survives; each remaining length-3 path dies with chance
     0.4.
     """
-    n = draw(st.integers(min_value=1, max_value=max_vertices))
+    n = rng.randint(1, max_vertices)
     vertices = [f"v{i}" for i in range(n)]
     out_deg, in_deg = [0] * n, [0] * n
     arrows = []
-    for _ in range(draw(st.integers(min_value=n, max_value=2 * n))):
-        s = draw(st.integers(min_value=0, max_value=n - 1))
-        t = draw(st.integers(min_value=0, max_value=n - 1))
+    for _ in range(rng.randint(n, 2 * n)):
+        s = rng.randint(0, n - 1)
+        t = rng.randint(0, n - 1)
         if out_deg[s] < 2 and in_deg[t] < 2:
             out_deg[s] += 1
             in_deg[t] += 1
@@ -48,8 +58,8 @@ def special_quivers(draw, max_vertices: int = 7) -> BoundQuiver:
     for a in arrows:
         succ = after[a.name]
         if len(succ) == 2:
-            dead.update((a.name, succ[i]) for i in draw(st.sampled_from([(0,), (1,), (0, 1)])))
-        elif succ and _chance(draw, 3):
+            dead.update((a.name, succ[i]) for i in rng.choice([(0,), (1,), (0, 1)]))
+        elif succ and rng.randint(0, 9) < 3:
             dead.add((a.name, succ[0]))
     for b in arrows:
         live = [a.name for a in arrows if a.tgt == b.src and (a.name, b.name) not in dead]
@@ -58,10 +68,15 @@ def special_quivers(draw, max_vertices: int = 7) -> BoundQuiver:
     for a in arrows:
         for b in after[a.name]:
             for c in after[b]:
-                if (a.name, b) not in dead and (b, c) not in dead and _chance(draw, 4):
+                if (a.name, b) not in dead and (b, c) not in dead and rng.randint(0, 9) < 4:
                     relations.append(Relation(MONOMIAL, (a.name, b, c)))
     q = BoundQuiver("random", vertices, arrows, relations)
     return max(q.components(), key=lambda c: len(c.arrows))
+
+
+@st.composite
+def special_quivers(draw, max_vertices: int = 7) -> BoundQuiver:
+    return random_string_quiver(_Draws(draw), max_vertices)
 
 
 def _vanishes(q: BoundQuiver, path: tuple[str, ...]) -> bool:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -295,6 +296,67 @@ def test_commutativity_relations_compare_equal_in_either_orientation():
     flipped = parse_quiver(text + "comrel c d e = a b\n")
     assert q == flipped
     assert quivers_isomorphic(q, flipped)
+
+
+def _isomorphic_by_brute_force(q1: BoundQuiver, q2: BoundQuiver) -> bool:
+    """Whether the vertex, arrow and relation-list lengths agree and some
+    vertex bijection with an arrow bijection that respects it maps the
+    relation keys of ``q1`` onto those of ``q2``."""
+    sizes = [(len(q.vertices), len(q.arrows), len(q.relations)) for q in (q1, q2)]
+    if sizes[0] != sizes[1]:
+        return False
+    keys2 = {r.key() for r in q2.relations}
+    for vs in itertools.permutations(q2.vertices):
+        vmap = dict(zip(q1.vertices, vs))
+        for bs in itertools.permutations(q2.arrows):
+            if any((vmap[a.src], vmap[a.tgt]) != (b.src, b.tgt) for a, b in zip(q1.arrows, bs)):
+                continue
+            amap = {a.name: b.name for a, b in zip(q1.arrows, bs)}
+            keys = {
+                Relation(r.kind, tuple(amap[x] for x in r.path1), tuple(amap[x] for x in r.path2)).key()
+                for r in q1.relations
+            }
+            if keys == keys2:
+                return True
+    return False
+
+
+def _small_quiver(rng: random.Random, n: int, like: BoundQuiver | None = None) -> BoundQuiver:
+    """Up to 4 random arrows on ``n`` vertices, loops, parallel arrows and
+    vertices without arrows included, and up to 3 monomial relations drawn
+    with repetition, so some entries are duplicates.  Given ``like``, its
+    arrows with as many relations, drawn afresh."""
+    vertices = [f"v{i}" for i in range(n)]
+    if like is None:
+        arrows = [Arrow(f"a{i}", rng.choice(vertices), rng.choice(vertices)) for i in range(rng.randint(0, 4))]
+    else:
+        arrows = list(like.arrows)
+    paths = [
+        tuple(a.name for a in p)
+        for k in (2, 3)
+        for p in itertools.product(arrows, repeat=k)
+        if all(a.tgt == b.src for a, b in zip(p, p[1:]))
+    ]
+    count = rng.randint(0, 3) if like is None else len(like.relations)
+    relations = [Relation(MONOMIAL, rng.choice(paths)) for _ in range(count)] if paths else []
+    return BoundQuiver("small", vertices, arrows, relations)
+
+
+def test_isomorphism_agrees_with_a_brute_force_search_on_small_quivers():
+    rng = random.Random(2022)
+    answers = []
+    for k in range(1200):
+        q = _small_quiver(rng, rng.randint(1, 4))
+        n = len(q.vertices)
+        # the same quiver, its arrows with other relations, or a fresh draw
+        other = [q, _small_quiver(rng, n, like=q), _small_quiver(rng, n)][k % 3]
+        if rng.random() < 0.8:
+            other = _shuffled_copy(other, rng)
+        expected = _isomorphic_by_brute_force(q, other)
+        assert quivers_isomorphic(q, other) is expected, (q.to_text(), other.to_text())
+        assert quivers_isomorphic(other, q) is expected, (q.to_text(), other.to_text())
+        answers.append(expected)
+    assert answers.count(True) >= 300 and answers.count(False) >= 300
 
 
 def test_barify_flags_boundary_relation_involvement():
