@@ -19,11 +19,8 @@ from .quiver import (
     nodes,
     nonzero_paths,
     monomialize,
-    parallel_pair_candidates,
     quotient_by_arrow,
-    quotient_by_parallel_pair,
     quotient_by_path,
-    quotient_by_vertex,
     validate_gentle,
     validate_special_biserial,
     validate_string_algebra,
@@ -286,30 +283,24 @@ def classify_mri_sb(q: BoundQuiver) -> ClassLabel:
 
 
 def is_monomial_minimal_rep_infinite(q: BoundQuiver) -> bool:
-    """Rep-infinite, and every single-step quotient by an arrow, a vertex, a
-    nonzero path or a coefficient-1 commutativity relation is rep-finite.
+    """Rep-infinite, and the quotient by each maximal nonzero path is
+    rep-finite.
 
-    Commutativity quotients are normalised monomially before the band test
-    (the representation type is unchanged by killing the forced
-    projective-injective socle).
+    These quotients decide: the ideal of an arrow, a vertex, a nonzero path
+    or a coefficient-1 commutativity relation (on its monomial form, which
+    keeps the representation type) contains a maximal nonzero path, and a
+    larger ideal leaves fewer strings, so no more bands.
     """
     if not validate_string_algebra(q).holds:
         raise QuiverError("expects a string algebra")
     if not band_exists(q):
         raise QuiverError("expects a representation-infinite algebra")
-    for a in q.arrows:
-        if band_exists(quotient_by_arrow(q, a.name)):
-            return False
-    for v in q.vertices:
-        if band_exists(quotient_by_vertex(q, v)):
-            return False
-    for p in nonzero_paths(q):
-        if len(p) < 2:
+    paths = nonzero_paths(q)
+    inner = {p[1:] for p in paths} | {p[:-1] for p in paths}
+    for p in paths:
+        if p in inner:
             continue
-        if band_exists(quotient_by_path(q, p)):
-            return False
-    for p1, p2 in parallel_pair_candidates(q):
-        cut = monomialize(quotient_by_parallel_pair(q, p1, p2))
+        cut = quotient_by_path(q, p) if len(p) > 1 else quotient_by_arrow(q, p[0])
         if band_exists(cut):
             return False
     return True
@@ -438,7 +429,7 @@ def tau_finiteness(q: BoundQuiver) -> TauVerdict:
     3. ``WindWheel`` or ``Nody``: ``Finite`` by the paper's theorem, with
        the length at which the brick walk runs out as witness: no string
        of that length or more is a brick;
-    4. a band reduction with a representation-infinite gentle component:
+    4. a gentle band reduction (connected, and it keeps the band):
        ``Infinite``, as in step 2;
     5. otherwise ``Unknown``.
     """
@@ -467,11 +458,10 @@ def tau_finiteness(q: BoundQuiver) -> TauVerdict:
         r = reduce(q0, band)
         if r.structure_key() == q0.structure_key():
             continue
-        for comp in r.components():
-            tried.append(comp.name)
-            if validate_gentle(comp).holds and band_exists(comp):
-                trace.append(f"band reduction {band.render()} is rep-infinite gentle")
-                return TauVerdict(INFINITE, _reduced_family_witness(comp), tuple(trace))
+        tried.append(r.name)
+        if validate_gentle(r).holds:
+            trace.append(f"band reduction {band.render()} is rep-infinite gentle")
+            return TauVerdict(INFINITE, _reduced_family_witness(r), tuple(trace))
     trace.append("no witness found")
     return TauVerdict(UNKNOWN, {"kind": "attempted", "reductions": tried}, tuple(trace))
 

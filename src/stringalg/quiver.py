@@ -117,6 +117,8 @@ class BoundQuiver:
         for n in names:
             if n.endswith("-"):
                 raise QuiverError(f"arrow name {n!r} ends in '-', which marks an inverse letter")
+            if n.startswith("e("):
+                raise QuiverError(f"arrow name {n!r} starts with 'e(', which marks a lazy word")
         vs = set(self.vertices)
         if vs & set(names):
             raise QuiverError("vertex and arrow names must be disjoint")

@@ -258,6 +258,7 @@ def test_bad_arguments_are_input_errors(argv, message, capsys):
         b"quiver bad\nvertices: a b\narrow : a -> b\n",
         b"quiver bad\nvertices: a b\narrow x y: a -> b\n",
         b"quiver bad\nvertices: a b\narrow x-: a -> b\narrow x: b -> a\n",
+        b"quiver bad\nvertices: x y\narrow e(x): x -> y\n",
     ],
     ids=[
         "directory",
@@ -266,6 +267,7 @@ def test_bad_arguments_are_input_errors(argv, message, capsys):
         "empty-arrow-name",
         "space-in-arrow-name",
         "arrow-name-ends-in-minus",
+        "arrow-name-starts-with-e-paren",
     ],
 )
 def test_unreadable_input_is_an_input_error(content, tmp_path, capsys):

@@ -58,8 +58,10 @@ def test_parse_rejects_duplicates_and_dangling():
         ([""], [], "empty or contains whitespace"),
         # "x x-" would read back as x followed by the inverse of x
         (["a", "b"], [Arrow("x-", "a", "b"), Arrow("x", "b", "a")], "ends in '-'"),
+        # "e(a)" would read back as the lazy word at a
+        (["a", "b"], [Arrow("e(a)", "a", "b")], "starts with 'e\\('"),
     ],
-    ids=["tab-in-vertex", "empty-vertex", "arrow-ends-in-minus"],
+    ids=["tab-in-vertex", "empty-vertex", "arrow-ends-in-minus", "arrow-starts-with-e-paren"],
 )
 def test_names_the_word_syntax_cannot_read_back_are_rejected(vertices, arrows, message):
     with pytest.raises(QuiverError, match=message):
