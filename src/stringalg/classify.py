@@ -4,7 +4,7 @@ algebras."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from .census import _brick_walk, _check_m_max, brick_rotation
@@ -25,7 +25,7 @@ from .quiver import (
     validate_special_biserial,
     validate_string_algebra,
 )
-from .transforms import fully_reduce, reduce, resolve_nodes
+from .transforms import band_reductions, fully_reduce, resolve_nodes
 from .words import (
     BandClass,
     StringWord,
@@ -453,16 +453,13 @@ def tau_finiteness(q: BoundQuiver) -> TauVerdict:
     if label.value in (WIND_WHEEL, NODY):
         trace.append(f"classified {label.value}: brick-finite")
         return TauVerdict(FINITE, _brick_walk_witness(q0), tuple(trace))
-    tried = []
-    for band in enumerate_bands(q0):
-        r = reduce(q0, band)
-        if r.structure_key() == q0.structure_key():
-            continue
-        tried.append(r.name)
+    reductions = band_reductions(q0)
+    for band, r in reductions:
         if validate_gentle(r).holds:
             trace.append(f"band reduction {band.render()} is rep-infinite gentle")
             return TauVerdict(INFINITE, _reduced_family_witness(r), tuple(trace))
     trace.append("no witness found")
+    tried = [band.render() for band, _ in reductions]
     return TauVerdict(UNKNOWN, {"kind": "attempted", "reductions": tried}, tuple(trace))
 
 
@@ -479,14 +476,7 @@ class GentleHomReport:
     gldim_le_2: Optional[bool]
 
     def to_json(self) -> dict:
-        return {
-            "gentle_arrows": list(self.gentle_arrows),
-            "n_of_a": self.n_of_a,
-            "injective_dim": self.injective_dim,
-            "injective_dim_is_bound": self.injective_dim_is_bound,
-            "gorenstein_dim": self.gorenstein_dim,
-            "gldim_le_2": self.gldim_le_2,
-        }
+        return asdict(self)
 
 
 def gentle_hom_report(a: BoundQuiver) -> GentleHomReport:

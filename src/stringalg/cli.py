@@ -141,7 +141,7 @@ def cmd_census(q, args):
 
 
 def _components(comps, trace):
-    payload = {"components": [c.to_json() for c in comps], "trace": trace.to_json()}
+    payload = {"components": [c.to_json() for c in comps], "trace": trace}
     return payload, [c.to_text() for c in comps], False
 
 
@@ -163,7 +163,7 @@ def cmd_reduce(q, args):
 
 def cmd_fully_reduce(q, args):
     outs = fully_reduce(q)
-    payload = {"outputs": [{"quiver": r.to_json(), "trace": tr.to_json()} for r, tr in outs]}
+    payload = {"outputs": [{"quiver": r.to_json(), "trace": tr} for r, tr in outs]}
     return payload, [r.to_text() for r, _ in outs], False
 
 

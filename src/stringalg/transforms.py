@@ -4,7 +4,7 @@ band reductions down to fully reduced gentle algebras."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections import deque
 
 from .quiver import (
     MONOMIAL,
@@ -28,19 +28,6 @@ from .words import (
 )
 
 
-@dataclass
-class TransformTrace:
-    """Replayable log of surgery steps: (operation, parameters, result)."""
-
-    steps: list[tuple[str, dict, str]] = field(default_factory=list)
-
-    def add(self, op: str, params: dict, result: str) -> None:
-        self.steps.append((op, dict(params), result))
-
-    def to_json(self) -> list[dict]:
-        return [{"op": op, "params": p, "result": r} for op, p, r in self.steps]
-
-
 class TransformError(QuiverError):
     pass
 
@@ -58,10 +45,8 @@ def resolve_nodes(q: BoundQuiver):
     if not validate_string_algebra(q).holds:
         raise TransformError("node resolution expects a string algebra")
     ns = nodes(q)
-    trace = TransformTrace()
     if not ns:
-        trace.add("resolve-nodes", {"nodes": []}, q.name)
-        return [q], trace
+        return [q], [{"op": "resolve-nodes", "params": {"nodes": []}, "result": q.name}]
     vertices: list[str] = []
     for v in q.vertices:
         if v in ns:
@@ -81,10 +66,8 @@ def resolve_nodes(q: BoundQuiver):
         interior = [q.arrow_by_name[x].tgt for x in r.path1[:-1]]
         if not any(v in ns for v in interior):
             relations.append(r)
-    name = f"{q.name}.nn"
-    out = BoundQuiver(name, vertices, arrows, relations)
-    trace.add("resolve-nodes", {"nodes": sorted(ns)}, name)
-    return out.components(), trace
+    out = BoundQuiver(f"{q.name}.nn", vertices, arrows, relations)
+    return out.components(), [{"op": "resolve-nodes", "params": {"nodes": sorted(ns)}, "result": out.name}]
 
 
 def glue(q: BoundQuiver, sink: str, source: str) -> BoundQuiver:
@@ -138,7 +121,7 @@ def _sign_compatible(v1: StringWord, v2: StringWord) -> bool:
 
 
 def barify(
-    q: BoundQuiver, v1: StringWord, v2: StringWord, trace: TransformTrace | None = None
+    q: BoundQuiver, v1: StringWord, v2: StringWord, trace: list[dict] | None = None
 ) -> BoundQuiver:
     """Identify two sign-compatible string segments into a shared bar.
 
@@ -228,16 +211,13 @@ def barify(
     if trace is not None:
         boundary = [w1.letters[0].arrow, w1.letters[-1].arrow, w2.letters[0].arrow, w2.letters[-1].arrow]
         flagged = sorted({a for a in boundary if a in involved})
-        trace.add(
-            "barify",
-            {
-                "v1": w1.render(),
-                "v2": w2.render(),
-                "bar_length": m,
-                "boundary_arrows_in_relations": flagged,
-            },
-            out.name,
-        )
+        params = {
+            "v1": w1.render(),
+            "v2": w2.render(),
+            "bar_length": m,
+            "boundary_arrows_in_relations": flagged,
+        }
+        trace.append({"op": "barify", "params": params, "result": out.name})
     return out
 
 
@@ -253,24 +233,21 @@ def trim(a: BoundQuiver):
     fixpoint; returns ``(components, trace)``."""
     if not validate_gentle(a).holds:
         raise TransformError("trimming expects a gentle algebra")
-    trace = TransformTrace()
+    trace: list[dict] = []
     q = a
-    step = 0
     while True:
         ns = nodes(q)
         if ns:
-            q = q.restrict(set(q.vertices) - ns, name=f"{a.name}.t{step}")
-            trace.add("remove-nodes", {"vertices": sorted(ns)}, q.name)
-            step += 1
+            q = q.restrict(set(q.vertices) - ns, name=f"{a.name}.t{len(trace)}")
+            trace.append({"op": "remove-nodes", "params": {"vertices": sorted(ns)}, "result": q.name})
         sec = _secluded(q)
         if sec:
-            q = q.restrict(set(q.vertices) - sec, name=f"{a.name}.t{step}")
-            trace.add("remove-secluded", {"vertices": sorted(sec)}, q.name)
-            step += 1
+            q = q.restrict(set(q.vertices) - sec, name=f"{a.name}.t{len(trace)}")
+            trace.append({"op": "remove-secluded", "params": {"vertices": sorted(sec)}, "result": q.name})
         if not ns and not sec:
             break
     comps = q.components()
-    trace.add("split", {"components": len(comps)}, q.name)
+    trace.append({"op": "split", "params": {"components": len(comps)}, "result": q.name})
     return comps, trace
 
 
@@ -302,54 +279,54 @@ def reduce(q: BoundQuiver, band: BandClass) -> BoundQuiver:
     return q.restrict(set(w.walk_vertices()), f"{q.name}.r", w.supported_arrows())
 
 
-def fully_reduce(a: BoundQuiver) -> list[tuple[BoundQuiver, TransformTrace]]:
+def band_reductions(q: BoundQuiver) -> list[tuple[BandClass, BoundQuiver]]:
+    """The proper band reductions of ``q``: each band whose support misses
+    an arrow, in band order, with its reduction."""
+    return [
+        (band, reduce(q, band))
+        for band in enumerate_bands(q)
+        if len(band.representative.supported_arrows()) < len(q.arrows)
+    ]
+
+
+def fully_reduce(a: BoundQuiver) -> list[tuple[BoundQuiver, list[dict]]]:
     """Closure of trimming and band reduction.
 
     Every output is connected, gentle, representation-infinite and fixed by
     reduction along each of its bands; duplicates are removed up to quiver
-    isomorphism.
+    isomorphism.  An output's trace replays from ``a``: each step's
+    ``result`` names the quiver that step leaves.
     """
     if not validate_gentle(a).holds:
         raise TransformError("full reduction expects a gentle algebra")
     if not band_exists(a):
         raise TransformError(f"{a.name!r} is representation-finite")
 
-    outputs: list[tuple[BoundQuiver, TransformTrace]] = []
-    seen_states: set[tuple] = set()
-    pushed: set[tuple] = set()
-
-    def push(q: BoundQuiver, trace: TransformTrace, queue: list) -> None:
-        if q.structure_key() in pushed:
-            return  # an equal quiver's components are in seen_states already
-        pushed.add(q.structure_key())
+    outputs: list[tuple[BoundQuiver, list[dict]]] = []
+    # kept apart: a reduction that trim leaves whole comes back as a component
+    trimmed: set[tuple] = set()
+    met: set[tuple] = set()
+    queue = deque([(a, [])])
+    while queue:
+        q, trace = queue.popleft()
+        if q.structure_key() in trimmed:
+            continue
+        trimmed.add(q.structure_key())
         comps, t = trim(q)
         for comp in comps:
-            if not band_exists(comp):
+            if comp.structure_key() in met or not band_exists(comp):
                 continue
-            merged = TransformTrace(trace.steps + t.steps)
-            merged.add("component", {"vertices": list(comp.vertices)}, comp.name)
-            if comp.structure_key() not in seen_states:
-                seen_states.add(comp.structure_key())
-                queue.append((comp, merged))
+            met.add(comp.structure_key())
+            cut = {"op": "component", "params": {"vertices": list(comp.vertices)}, "result": comp.name}
+            at = trace + t + [cut]
+            reductions = band_reductions(comp)
+            if not reductions:
+                outputs.append((comp, at))
+            for band, r in reductions:
+                step = {"op": "reduce", "params": {"band": band.render()}, "result": r.name}
+                queue.append((r, at + [step]))
 
-    queue: list[tuple[BoundQuiver, TransformTrace]] = []
-    push(a, TransformTrace(), queue)
-    while queue:
-        q, trace = queue.pop(0)
-        proper = []
-        for band in enumerate_bands(q):
-            r = reduce(q, band)
-            if {x.name for x in r.arrows} != {x.name for x in q.arrows}:
-                proper.append((band, r))
-        if not proper:
-            outputs.append((q, trace))
-            continue
-        for band, r in proper:
-            t = TransformTrace(trace.steps)
-            t.add("reduce", {"band": band.render()}, r.name)
-            push(r, t, queue)
-
-    unique: list[tuple[BoundQuiver, TransformTrace]] = []
+    unique: list[tuple[BoundQuiver, list[dict]]] = []
     for q, trace in outputs:
         if not any(quivers_isomorphic(q, u) for u, _ in unique):
             unique.append((q, trace))

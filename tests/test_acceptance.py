@@ -149,8 +149,8 @@ def test_criterion_07_nody_family(corpus):
 
 def test_criterion_08_gentle_pipeline(big_gentle):
     comps, trace = trim(big_gentle)
-    assert trace.steps[0][0] == "remove-nodes"
-    assert trace.steps[0][1]["vertices"] == ["b", "d", "e"]
+    assert trace[0]["op"] == "remove-nodes"
+    assert trace[0]["params"]["vertices"] == ["b", "d", "e"]
     assert len(comps) == 3
     a_r = next(c for c in comps if "21" in c.vertices)
     a_m = next(c for c in comps if "8" in c.vertices and "20" in c.vertices)

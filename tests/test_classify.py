@@ -37,12 +37,12 @@ from stringalg.quiver import (
     validate_string_algebra,
 )
 from stringalg.transforms import reduce, resolve_nodes, trim, weak_reduce
-from stringalg.words import band_exists, enumerate_bands, string_module, word_from_text
+from stringalg.words import band_exists, enumerate_bands, is_band, string_module, word_from_text
 from stringalg.graphmaps import is_brick
 from stringalg.oracle import end_dim_linear
 
 from test_step_table import random_string_quiver, special_quivers
-from test_transforms import _shuffled_copy
+from test_transforms import _shuffled_copy, replayed_outputs
 
 
 def test_classify_barbell_stage_one():
@@ -322,6 +322,31 @@ def test_band_reductions_are_connected_and_keep_their_band(corpus):
     assert sum(_reductions_checked(q) for q in _seeded_sample()) == 794
     for q in corpus.values():
         _reductions_checked(monomialize(q))
+
+
+def test_fully_reduce_traces_replay_on_the_seeded_sample():
+    gentle = [q for q in _seeded_sample() if validate_gentle(q).holds and band_exists(q)]
+    assert len(gentle) == 127
+    assert sum(replayed_outputs(q) for q in gentle) == 134
+
+
+def test_unknown_witness_lists_the_bands_whose_reductions_were_tried():
+    # each tried band once, read back on the monomial form: a proper
+    # reduction that is not gentle, or the cascade would have said Infinite
+    tried = []
+    for q in _seeded_sample():
+        v = tau_finiteness(q)
+        if v.value != "Unknown" or len(v.witness["reductions"]) < 2:
+            continue
+        q0, bands = monomialize(q), v.witness["reductions"]
+        assert len(set(bands)) == len(bands), bands
+        for text in bands:
+            w = word_from_text(q0, text)
+            r = q0.restrict(set(w.walk_vertices()), "r", w.supported_arrows())
+            assert is_band(w) and len(r.arrows) < len(q0.arrows), (q0.to_text(), text)
+            assert not validate_gentle(r).holds, (q0.to_text(), text)
+        tried.append(len(bands))
+    assert tried == [2, 5, 3, 2, 2]
 
 
 def _answers(q):

@@ -26,7 +26,7 @@ from stringalg.transforms import (
     trim,
     weak_reduce,
 )
-from stringalg.words import band_exists, enumerate_bands, word_from_text
+from stringalg.words import band_exists, enumerate_bands, is_band, word_from_text
 
 
 def test_resolve_double_cycle_gives_hereditary_hexagon(corpus):
@@ -35,7 +35,7 @@ def test_resolve_double_cycle_gives_hereditary_hexagon(corpus):
     assert len(out.arrows) == 6
     assert not out.relations
     assert not nodes(out)
-    assert trace.steps[0][0] == "resolve-nodes"
+    assert trace[0]["op"] == "resolve-nodes"
 
 
 def test_resolve_node_free_is_identity(corpus):
@@ -107,7 +107,8 @@ def test_barify_rejects_overlapping_interiors():
 
 def test_trim_big_example(big_gentle):
     comps, trace = trim(big_gentle)
-    assert trace.steps[0] == ("remove-nodes", {"vertices": ["b", "d", "e"]}, trace.steps[0][2])
+    removed = {"vertices": ["b", "d", "e"]}
+    assert trace[0] == {"op": "remove-nodes", "params": removed, "result": trace[0]["result"]}
     assert len(comps) == 3
     vertex_sets = [set(c.vertices) for c in comps]
     assert {"1", "2", "3", "4", "5", "6"} in vertex_sets
@@ -198,6 +199,37 @@ def test_fully_reduce_fixpoints(corpus):
         outs = fully_reduce(corpus[name])
         assert len(outs) == 1
         assert outs[0][0] == corpus[name]
+
+
+def replayed_outputs(a):
+    """How many outputs ``fully_reduce(a)`` has; each one is rebuilt from
+    ``a`` by its trace alone and must come out equal, name included."""
+    outs = fully_reduce(a)
+    for out, trace in outs:
+        q = a
+        for step in trace:
+            op, params, result = step["op"], step["params"], step["result"]
+            if op in ("remove-nodes", "remove-secluded"):
+                assert set(params["vertices"]) <= set(q.vertices), (a.name, step)
+                q = q.restrict(set(q.vertices) - set(params["vertices"]), result)
+            elif op == "split":
+                assert (len(q.components()), q.name) == (params["components"], result), (a.name, step)
+            elif op == "component":
+                q = q.restrict(set(params["vertices"]), result)
+                assert q.is_connected(), (a.name, step)
+            else:
+                assert op == "reduce", (a.name, step)
+                w = word_from_text(q, params["band"])
+                assert is_band(w), (a.name, step)
+                q = q.restrict(set(w.walk_vertices()), result, w.supported_arrows())
+        assert (q, q.name) == (out, out.name), (a.name, trace)
+    return len(outs)
+
+
+def test_fully_reduce_traces_replay_on_the_fixtures(corpus):
+    gentle = [q for q in corpus.values() if validate_gentle(q).holds and band_exists(q)]
+    assert len(gentle) == 14
+    assert sum(replayed_outputs(q) for q in gentle) == 20
 
 
 def test_three_vertex_parity_after_trimming(big_gentle):
@@ -360,12 +392,10 @@ def test_isomorphism_agrees_with_a_brute_force_search_on_small_quivers():
 
 
 def test_barify_flags_boundary_relation_involvement():
-    from stringalg.transforms import TransformTrace
-
     q = load_fixture("barbell_a9")
-    tr = TransformTrace()
+    tr = []
     barify(q, word_from_text(q, "alpha eps-"), word_from_text(q, "mu- delta"), trace=tr)
-    op, params, _ = tr.steps[0]
+    op, params = tr[0]["op"], tr[0]["params"]
     assert op == "barify"
     # delta and alpha already sit in the stage-one relations
     assert params["boundary_arrows_in_relations"] == ["alpha", "delta"]
