@@ -42,13 +42,22 @@ class CensusReport:
         }
 
 
+MAX_CENSUS_LEN = 1000
+
+
 def brick_census(q: BoundQuiver, max_len: int) -> CensusReport:
     """Count canonical strings and bricks per length up to ``max_len``, and
     find the length at which the brick walk runs out, if it does below
     ``max_len`` (see ``_brick_walk``).  Band classes up to ``max_len`` are
-    listed separately."""
+    listed separately.
+
+    ``max_len`` is at most ``MAX_CENSUS_LEN`` (1000), checked before any
+    per-length list is allocated; every census that finishes in practice
+    stops far below it."""
     if max_len < 0:
         raise QuiverError(f"max_len must be at least 0, got {max_len}")
+    if max_len > MAX_CENSUS_LEN:
+        raise QuiverError(f"max_len must be at most {MAX_CENSUS_LEN}, got {max_len}")
     if not validate_string_algebra(q).holds:
         raise QuiverError("census expects a string algebra")
     strings = _string_counts(q, max_len)
@@ -161,7 +170,8 @@ def _brick_walk(q: BoundQuiver, max_len: int) -> tuple[list[int], int | None]:
         if canonical:
             qe = {key[t[i]] for i in qs}
             se = {key[t[i]] for i in ss}
-            bricks[n] += qe.isdisjoint(se) and qe.isdisjoint(si) and se.isdisjoint(qi)
+            # qe, se never meet: qs, ss are disjoint, so lengths differ, and no word node keys a root
+            bricks[n] += qe.isdisjoint(si) and se.isdisjoint(qi)
         if not leaf:
             frontier += [(e, t, qs, ss, qi, si) for e in _extend(steps, c)]
     return bricks, deepest + 1 if deepest + 1 < max_len else None

@@ -24,7 +24,7 @@ from . import __version__
 from .census import brick_census, unique_brick_band_scan
 from .classify import classify_mri_sb, classify_node_free, gentle_hom_report, tau_finiteness
 from .fixtures import fixture_names, load_fixture
-from .graphmaps import admissible_pairs, is_brick
+from .graphmaps import _hom_basis, admissible_pairs, is_brick
 from .oracle import hom_dim_linear
 from .quiver import (
     BoundQuiver,
@@ -207,7 +207,7 @@ def cmd_xcheck(q, args):
     mismatches = []
     for u in ws:
         for v in ws:
-            g = admissible_pairs(u, v).dim
+            g = _hom_basis(u, v).dim  # strings by construction
             o = hom_dim_linear(mods[u], mods[v], sanity=args.sanity)
             if g != o:
                 mismatches.append({"source": u.render(), "target": v.render(), "graph": g, "linear": o})

@@ -67,6 +67,11 @@ def admissible_pairs(u: StringWord, v: StringWord) -> HomBasis:
     for w in (u, v):
         if not is_string(w):
             raise WordError(f"{w.render()} is not a string")
+    return _hom_basis(u, v)
+
+
+def _hom_basis(u: StringWord, v: StringWord) -> HomBasis:
+    """The basis of ``admissible_pairs`` for words already known to be strings."""
     key_u = _key_function(u.codes, u.walk_vertices())
     key_v = _key_function(v.codes, v.walk_vertices())
     sub_index: dict[object, list[tuple[int, int]]] = {}

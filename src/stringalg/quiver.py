@@ -495,18 +495,25 @@ def parse_quiver(text: str) -> BoundQuiver:
 
 @_memo
 def validate_special_biserial(q: BoundQuiver) -> Verdict:
-    """Degree bounds plus unique non-vanishing compositions per arrow."""
+    """Degree bounds plus unique non-vanishing compositions per arrow.
+
+    ``b`` follows ``a`` nonzero iff ``b``'s direct code is a step-table
+    successor of ``a``'s: for a direct code, ``succ`` drops exactly the
+    codes that close a length-2 relation.
+    """
     witnesses: list[str] = []
     for v in q.vertices:
         if len(q.incoming(v)) > 2:
             witnesses.append(f"vertex {v}: in-degree {len(q.incoming(v))} > 2")
         if len(q.outgoing(v)) > 2:
             witnesses.append(f"vertex {v}: out-degree {len(q.outgoing(v))} > 2")
+    succ, index = _steps(q).succ, q.arrow_index
     for a in q.arrows:
-        succ = [b.name for b in q.outgoing(a.tgt) if not q.path_in_ideal((a.name, b.name))]
-        if len(succ) > 1:
-            witnesses.append(f"arrow {a.name}: nonzero compositions with {succ}")
-        pred = [b.name for b in q.incoming(a.src) if not q.path_in_ideal((b.name, a.name))]
+        x = 2 * index[a.name]
+        after = [b.name for b in q.outgoing(a.tgt) if 2 * index[b.name] in succ[x]]
+        if len(after) > 1:
+            witnesses.append(f"arrow {a.name}: nonzero compositions with {after}")
+        pred = [b.name for b in q.incoming(a.src) if x in succ[2 * index[b.name]]]
         if len(pred) > 1:
             witnesses.append(f"arrow {a.name}: nonzero compositions after {pred}")
     return Verdict.from_witnesses(witnesses)
@@ -540,13 +547,15 @@ def validate_gentle(q: BoundQuiver) -> Verdict:
 
 @_memo
 def nodes(q: BoundQuiver) -> frozenset[str]:
-    """Vertices that are neither sinks nor sources with all through paths zero."""
+    """Vertices that are neither sinks nor sources with all through paths
+    zero, read off the step table as in ``validate_special_biserial``."""
+    succ, index = _steps(q).succ, q.arrow_index
     out = set()
     for v in q.vertices:
         ins, outs = q.incoming(v), q.outgoing(v)
         if not ins or not outs:
             continue
-        if all(q.path_in_ideal((a.name, b.name)) for a in ins for b in outs):
+        if not any(2 * index[b.name] in succ[2 * index[a.name]] for a in ins for b in outs):
             out.add(v)
     return frozenset(out)
 

@@ -2,10 +2,11 @@ import hashlib
 import json
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
-from stringalg import cli
+from stringalg import cli, graphmaps, words
 from stringalg.cli import main
 from stringalg.fixtures import fixture_names, load_fixture
 from stringalg.quiver import monomialize
@@ -237,6 +238,8 @@ def test_trim_subcommand_components(tmp_path):
         (["census", "fixture:bongartz_ag_1_1", "--max-len", "8", "--m-max", "-1"], "m_max must be at least 0"),
         # word_from_text used to read strings off a commutativity relation
         (["hom", "fixture:lambda1", "beta", "e(3)"], "'lambda1' has a commutativity relation"),
+        # used to raise OverflowError from a per-length list
+        (["census", "fixture:a9", "--max-len", "99999999999999999999"], "max_len must be at most 1000"),
     ],
 )
 def test_bad_arguments_are_input_errors(argv, message, capsys):
@@ -335,6 +338,23 @@ def test_xcheck_exits_1_on_a_mismatch_with_or_without_strict(strict, monkeypatch
     assert main(argv) == 1
     report = json.loads(capsys.readouterr().out)
     assert len(report["mismatches"]) == report["pairs"] > 0
+
+
+def test_xcheck_checks_each_string_once(monkeypatch, capsys):
+    calls = Counter()
+    is_string = words.is_string
+
+    def counting(w):
+        calls[w] += 1
+        return is_string(w)
+
+    monkeypatch.setattr(words, "is_string", counting)
+    monkeypatch.setattr(graphmaps, "is_string", counting)
+    assert main(["xcheck", "fixture:lambda3", "--max-len", "3"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    # the one check is string_module's, once per enumerated string
+    assert set(calls.values()) == {1}
+    assert len(calls) == report["strings"] > 0
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])

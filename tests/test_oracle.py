@@ -93,6 +93,61 @@ def test_bareiss_rank_against_fraction_elimination():
             assert _rank_bareiss(rows, p) == _rank_mod(rows, p), (rows, p)
 
 
+def _corank_2_sparse(rows, nvars):
+    """The corank of a system with at most two nonzero entries per row, by
+    union-find: each variable is tracked as x_i = r * x_root with a rational
+    ratio r.  A row with one entry, or a row that closes a cycle whose ratios
+    do not agree, forces its component to 0; every other component is a
+    free line."""
+    parent, ratio, zero = list(range(nvars)), [Fraction(1)] * nvars, [False] * nvars
+
+    def find(i):
+        if parent[i] == i:
+            return i, Fraction(1)
+        root, r = find(parent[i])
+        parent[i], ratio[i] = root, ratio[i] * r
+        return root, ratio[i]
+
+    for row in rows:
+        entries = [(j, x) for j, x in enumerate(row) if x]
+        assert len(entries) <= 2, row
+        if not entries:
+            continue
+        (i, a), (j, b) = entries[0], entries[-1]
+        (ri, si), (rj, sj) = find(i), find(j)
+        if len(entries) == 1:
+            zero[ri] = True
+        elif ri != rj:
+            # a si X_ri + b sj X_rj = 0
+            parent[ri], ratio[ri] = rj, -b * sj / (a * si)
+            zero[rj] = zero[rj] or zero[ri]
+        elif a * si + b * sj:
+            zero[ri] = True
+    return sum(1 for i in range(nvars) if parent[i] == i and not zero[i])
+
+
+def test_bareiss_corank_against_a_2_sparse_union_find(corpus):
+    # string-pair intertwiner systems have at most two entries per row
+    rng = random.Random(20261020)
+    pools = [
+        enumerate_strings(corpus[name], 8)
+        for name in ("loops_barbell", "big_gentle", "windwheel_a12", "lambda2", "lambda3", "lambda4")
+    ]
+    for _ in range(2000):
+        words = rng.choice(pools)
+        rows, nvars = _intertwiner_matrix(string_module(rng.choice(words)), string_module(rng.choice(words)))
+        assert nvars - _rank_bareiss(rows) == _corank_2_sparse(rows, nvars), rows
+    for _ in range(5000):
+        nvars = rng.randint(1, 8)
+        rows = []
+        for _ in range(rng.randint(1, 10)):
+            row = [0] * nvars
+            for j in rng.sample(range(nvars), rng.randint(1, min(2, nvars))):
+                row[j] = rng.choice((1, -1, 2, -3))
+            rows.append(row)
+        assert nvars - _rank_bareiss(rows) == _corank_2_sparse(rows, nvars), rows
+
+
 def test_bareiss_rank_mod_p_small_cases():
     assert _rank_bareiss([], 5) == 0
     assert _rank_bareiss([[5, 10], [0, 0]], 5) == 0

@@ -12,7 +12,9 @@ from stringalg.quiver import (
     BoundQuiver,
     Relation,
     is_finite_dimensional,
+    nodes,
     parse_quiver,
+    validate_special_biserial,
     validate_string_algebra,
 )
 from stringalg.words import band_exists, enumerate_bands
@@ -135,10 +137,41 @@ def _finite_by_composition_graph(q: BoundQuiver) -> bool:
     return not any(cyclic(s) for s in graph if s not in colour)
 
 
+def _special_biserial_witnesses(q: BoundQuiver) -> list[str]:
+    """The witnesses of ``validate_special_biserial``, each composition
+    decided by ``_vanishes``."""
+    witnesses = []
+    for v in q.vertices:
+        for kind, arrows in (("in", q.incoming(v)), ("out", q.outgoing(v))):
+            if len(arrows) > 2:
+                witnesses.append(f"vertex {v}: {kind}-degree {len(arrows)} > 2")
+    for a in q.arrows:
+        after = [b.name for b in q.outgoing(a.tgt) if not _vanishes(q, (a.name, b.name))]
+        if len(after) > 1:
+            witnesses.append(f"arrow {a.name}: nonzero compositions with {after}")
+        before = [b.name for b in q.incoming(a.src) if not _vanishes(q, (b.name, a.name))]
+        if len(before) > 1:
+            witnesses.append(f"arrow {a.name}: nonzero compositions after {before}")
+    return witnesses
+
+
+def _nodes(q: BoundQuiver) -> frozenset[str]:
+    """The vertices with arrows in and out and every path through them zero."""
+    return frozenset(
+        v
+        for v in q.vertices
+        if q.incoming(v)
+        and q.outgoing(v)
+        and all(_vanishes(q, (a.name, b.name)) for a in q.incoming(v) for b in q.outgoing(v))
+    )
+
+
 def _check(q: BoundQuiver) -> None:
     assert is_finite_dimensional(q) == _finite_by_composition_graph(q), q.to_text()
     for p in _paths(q, 5):
         assert q.path_in_ideal(p) == _vanishes(q, p), (q.to_text(), p)
+    assert nodes(q) == _nodes(q), q.to_text()
+    assert list(validate_special_biserial(q).witnesses) == _special_biserial_witnesses(q), q.to_text()
     if validate_string_algebra(q).holds and is_finite_dimensional(q):
         assert band_exists(q) == bool(enumerate_bands(q)), q.to_text()
 
@@ -153,6 +186,40 @@ def test_step_table_agrees_with_references_on_the_corpus(corpus):
 def test_step_table_agrees_with_references_on_random_quivers(q):
     assert validate_string_algebra(q).holds, q.to_text()
     _check(q)
+
+
+@pytest.mark.parametrize(
+    "text, witnesses, node_set",
+    [
+        (
+            "vertices: x y z\narrow a: x -> y\narrow b: y -> z\narrow c: y -> z\n",
+            ["arrow a: nonzero compositions with ['b', 'c']"],
+            set(),
+        ),
+        (
+            "vertices: x y z\narrow a: x -> y\narrow b: x -> y\narrow c: y -> z\n",
+            ["arrow c: nonzero compositions after ['a', 'b']"],
+            set(),
+        ),
+        ("vertices: x y z\narrow a: x -> y\narrow b: y -> z\nrel a b\n", [], {"y"}),
+        (
+            "vertices: x y z\narrow a: x -> y\narrow b: y -> z\narrow c: y -> z\nrel a b\n",
+            [],
+            set(),
+        ),
+        (
+            "vertices: x y\narrow a: x -> y\narrow b: x -> y\narrow c: x -> y\n",
+            ["vertex x: out-degree 3 > 2", "vertex y: in-degree 3 > 2"],
+            set(),
+        ),
+    ],
+    ids=["two-successors", "two-predecessors", "node", "one-live-successor", "degree-3"],
+)
+def test_special_biserial_and_node_checks_on_small_cases(text, witnesses, node_set):
+    q = parse_quiver("quiver small\n" + text)
+    _check(q)
+    assert list(validate_special_biserial(q).witnesses) == witnesses
+    assert nodes(q) == node_set
 
 
 @pytest.mark.parametrize(

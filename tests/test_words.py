@@ -231,11 +231,32 @@ def test_enumerated_strings_are_canonical(lambda4):
         assert canonical_string(w) == w
 
 
+def _path_matrix(rep, path):
+    """The matrix of a path (traversal order) on ``rep``: the product of
+    its arrows' matrices, the first applied arrow rightmost."""
+    m = rep.mats[path[0]]
+    for name in path[1:]:
+        cols = len(m[0]) if m else 0
+        m = [[sum(r[k] * m[k][j] for k in range(len(m))) for j in range(cols)] for r in rep.mats[name]]
+    return m
+
+
 def test_relation_matrices_vanish_on_fixture_strings(corpus):
+    # string_module trusts is_string for (S2); check it with matrix products
     for name in ("lambda2", "lambda3", "lambda4", "loops_barbell"):
         q = corpus[name]
+        assert q.monomials
         for w in enumerate_strings(q, 8):
-            assert string_module(w).relations_hold()
+            rep = string_module(w)
+            for path in q.monomials:
+                assert not any(x for row in _path_matrix(rep, path) for x in row), (name, w.render(), path)
+
+
+def test_string_module_rejects_a_commutativity_relation(corpus):
+    q = corpus["lambda1"]
+    w = StringWord(q, (0,))  # the first arrow
+    with pytest.raises(QuiverError, match="commutativity relation"):
+        string_module(w)
 
 
 def test_non_composable_word_rejected(lambda2):
