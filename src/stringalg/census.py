@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphmaps import _is_brick_string
+from .graphmaps import _is_brick_string, is_band_brick
 from .quiver import (
     BoundQuiver,
     QuiverError,
@@ -220,10 +220,8 @@ def brick_rotation(b: BandClass, m_max: int) -> StringWord | None:
     return None
 
 
-def unique_brick_band_scan(q: BoundQuiver, max_band_len: int, m_max: int) -> list[BandClass]:
-    """Band classes admitting a rotation all of whose powers up to
-    ``m_max`` are bricks."""
-    _check_m_max(m_max)
+def unique_brick_band_scan(q: BoundQuiver, max_band_len: int) -> list[BandClass]:
+    """The minimal band classes up to ``max_band_len`` that ``is_band_brick`` accepts."""
     if not validate_string_algebra(q).holds:
         raise QuiverError("scan expects a string algebra")
-    return [b for b in enumerate_bands(q, max_band_len) if brick_rotation(b, m_max) is not None]
+    return [b for b in enumerate_bands(q, max_band_len) if is_band_brick(b)]

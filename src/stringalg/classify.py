@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from .census import _brick_walk, _check_m_max, brick_rotation
-from .graphmaps import is_brick
+from .graphmaps import _is_brick_string
 from .oracle import end_dim_linear
 from .quiver import (
     BoundQuiver,
@@ -376,7 +376,7 @@ def barbell_brick_family(label: ClassLabel, m_max: int) -> BrickFamilyWitness:
     if label.value == HEREDITARY_AN:
         # the seam vertex must not land in both top and socle; some rotation
         # of the cycle always works (a simple of defect -1 exists on the cycle)
-        w = brick_rotation(detail["band"], 2)
+        w = brick_rotation(detail["band"], m_max)  # graph-tests the powers
         if w is None:
             raise QuiverError("no brick rotation of the cycle band; recognizer bug")
         construction = "HereditaryAn"
@@ -388,18 +388,16 @@ def barbell_brick_family(label: ClassLabel, m_max: int) -> BrickFamilyWitness:
         construction = "ZeroBarStandard"
     else:
         raise QuiverError(f"no brick family construction for label {label.value}")
-    exponents = []
     for m in range(1, m_max + 1):
         wm = w.power(m)
-        graph = is_brick(wm)
-        linear = end_dim_linear(string_module(wm)) == 1
+        linear = end_dim_linear(string_module(wm)) == 1  # the power's one string check
+        graph = label.value == HEREDITARY_AN or _is_brick_string(wm)
         if not (graph and linear):
             raise QuiverError(
                 f"constructed family fails brick check at exponent {m}"
                 f" (graph={graph}, linear={linear}); recognizer or construction bug"
             )
-        exponents.append(m)
-    return BrickFamilyWitness(canonical_band(w), w, tuple(exponents), construction)
+    return BrickFamilyWitness(canonical_band(w), w, tuple(range(1, m_max + 1)), construction)
 
 
 def _reduced_family_witness(q: BoundQuiver) -> dict:

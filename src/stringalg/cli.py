@@ -124,14 +124,9 @@ def cmd_brick(q, args):
 
 
 def cmd_census(q, args):
-    if args.m_max < 0:  # 0: no band scan
-        raise QuiverError(f"m_max must be at least 0, got {args.m_max}")
     report = brick_census(q, args.max_len)
-    payload = {"census": report.to_json()}
-    if args.m_max:
-        # the minimal bands up to --max-len, the ones the census lists
-        scan = unique_brick_band_scan(q, args.max_len, args.m_max)
-        payload["brick_bands"] = [b.render() for b in scan]
+    scan = unique_brick_band_scan(q, args.max_len)  # among the bands the census lists
+    payload = {"census": report.to_json(), "brick_bands": [b.render() for b in scan]}
     lines = ["len strings bricks"] + [
         f"{l:3d} {s:7d} {b:6d}" for l, (s, b) in sorted(report.per_length.items())
     ]
@@ -280,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("census", cmd_census, help="brick census per length")
     sp.add_argument("quiver")
     sp.add_argument("--max-len", type=int, default=12)
-    sp.add_argument("--m-max", type=int, default=0)
     sp = add("resolve-nodes", cmd_resolve_nodes, help="split nodes into sink/source pairs")
     sp.add_argument("quiver")
     sp = add("trim", cmd_trim, help="remove nodes and secluded vertices")

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .quiver import _inverse_codes
-from .words import StringWord, WordError, is_string
+from .words import BandClass, StringWord, WordError, is_string
 
 
 @dataclass(frozen=True)
@@ -110,3 +110,22 @@ def is_brick(w: StringWord) -> bool:
     if not is_string(w):
         raise WordError(f"{w.render()} is not a string")
     return _is_brick_string(w)
+
+
+def is_band_brick(b: BandClass) -> bool:
+    """Whether the band module M(b, lam, 1) is a brick, for every lam.
+
+    By Krause (1991), End M(b, lam, 1) is the scalars plus one map per pair
+    of a finite quotient and a finite submodule factor of b^oo, equal up to
+    inversion: here, middles of ``b^5`` with both neighbours inside it.
+    Only factors shorter than ``n = |b|`` can pair.  A shared window of
+    length ``n`` fixes b^oo, so at another phase b is not primitive; at the
+    same phase the letter before it is inverse and direct; inverted, b^oo
+    is its own reversed inverse, so a letter is its own inverse or is
+    followed by it, against (S1).  Every phase occurs among the submodule
+    middles, so the quotient middles starting in copy 2 suffice.
+    """
+    n, w = len(b.representative), b.representative.power(5)
+    c, key = w.codes, _key_function(w.codes, w.walk_vertices())
+    sub = {key(i, j) for i, j in _splits(c, 0) if 0 < i and j < len(c) and j - i < n}
+    return not any(key(i, j) in sub for i, j in _splits(c, 1) if 2 * n <= i < 3 * n and j - i < n)

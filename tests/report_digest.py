@@ -26,7 +26,7 @@ COMMANDS = (
     ("validate",),
     ("strings", "--max-len", "6"),
     ("bands",),
-    ("census", "--max-len", "8", "--m-max", "2"),
+    ("census", "--max-len", "8"),
     ("classify",),
     ("tau",),
     ("trim",),

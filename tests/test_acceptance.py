@@ -111,7 +111,7 @@ def test_criterion_05_barbell_brick_families(loops_barbell):
     assert fam.verified_exponents == (1, 2, 3, 4)
     fam54 = barbell_brick_family(classify_node_free(loops_barbell), m_max=4)
     assert fam54.verified_exponents == (1, 2, 3, 4)
-    scan = unique_brick_band_scan(loops_barbell, 8, 2)
+    scan = unique_brick_band_scan(loops_barbell, 8)
     expected = canonical_band(word_from_text(loops_barbell, "theta gamma- theta- alpha-"))
     assert scan == [expected]
     _passed(5, "barbell brick families")

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from stringalg import cli, graphmaps, words
+from stringalg import census, classify, cli, graphmaps, words
 from stringalg.cli import main
 from stringalg.fixtures import fixture_names, load_fixture
 from stringalg.quiver import monomialize
@@ -190,20 +190,18 @@ def test_census_brick_bands_are_the_listed_bands_up_to_max_len(capsys):
     # so scans none, one to length 10 lists and scans it
     band = "eps- beta beta1 beta2- gamma mu- delta alpha2 alpha1- alpha"
     for max_len, bands in (("8", []), ("10", [band])):
-        assert main(["census", "fixture:a9", "--max-len", max_len, "--m-max", "2"]) == 0
+        assert main(["census", "fixture:a9", "--max-len", max_len]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["census"]["bands"] == bands
         assert report["brick_bands"] == bands
 
 
-def test_census_m_max_zero_scans_no_band_and_one_finds_no_brick_band(capsys):
-    # bongartz_ag_1_1's one band has no rotation that is a brick
-    assert main(["census", "fixture:bongartz_ag_1_1", "--max-len", "8", "--m-max", "0"]) == 0
+def test_census_lists_a_band_whose_band_module_is_no_brick(capsys):
+    # bongartz_ag_1_1's one band module is no brick
+    assert main(["census", "fixture:bongartz_ag_1_1", "--max-len", "8"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["census"]["bands"] == ["beta1- alpha1"]
-    assert "brick_bands" not in report
-    assert main(["census", "fixture:bongartz_ag_1_1", "--max-len", "8", "--m-max", "1"]) == 0
-    assert json.loads(capsys.readouterr().out)["brick_bands"] == []
+    assert report["brick_bands"] == []
 
 
 def test_fixture_scheme_and_in_process_entry_point(capsys):
@@ -234,8 +232,8 @@ def test_trim_subcommand_components(tmp_path):
         (["bands", "fixture:lambda3", "--max-len", "-1"], "max_len must be at least 0"),
         # tau checks its brick families for the powers 1 to 3 and takes no --m-max
         (["tau", "fixture:a9", "--m-max", "3"], "unrecognized arguments: --m-max 3"),
-        # an empty range of exponents used to pass every band
-        (["census", "fixture:bongartz_ag_1_1", "--max-len", "8", "--m-max", "-1"], "m_max must be at least 0"),
+        # the band column is exact and takes no --m-max
+        (["census", "fixture:bongartz_ag_1_1", "--max-len", "8", "--m-max", "-1"], "unrecognized arguments: --m-max -1"),
         # word_from_text used to read strings off a commutativity relation
         (["hom", "fixture:lambda1", "beta", "e(3)"], "'lambda1' has a commutativity relation"),
         # used to raise OverflowError from a per-length list
@@ -355,6 +353,28 @@ def test_xcheck_checks_each_string_once(monkeypatch, capsys):
     # the one check is string_module's, once per enumerated string
     assert set(calls.values()) == {1}
     assert len(calls) == report["strings"] > 0
+
+
+@pytest.mark.parametrize("name", ["atilde5", "barbell_a9", "zero_bar_gb"])
+def test_tau_brick_family_checks_each_power_once(name, monkeypatch, capsys):
+    # one fixture per brick-family construction: HereditaryAn, BarbellStandard, ZeroBarStandard
+    bricks, strings = Counter(), Counter()
+
+    def counting(counter, fn):
+        def wrapper(w):
+            counter[id(w.quiver), w.codes, w.basepoint] += 1
+            return fn(w)
+
+        return wrapper
+
+    for mod in (graphmaps, census, classify):
+        monkeypatch.setattr(mod, "_is_brick_string", counting(bricks, mod._is_brick_string))
+    for mod in (words, graphmaps, classify):
+        monkeypatch.setattr(mod, "is_string", counting(strings, mod.is_string))
+    assert main(["tau", f"fixture:{name}"]) == 0
+    assert json.loads(capsys.readouterr().out)["tau"]["witness"]["verified_exponents"] == [1, 2, 3]
+    assert set(bricks.values()) == {1}
+    assert set(strings.values()) == {1}
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])

@@ -1,25 +1,32 @@
 import itertools
+import random
 
 import pytest
 
 from stringalg.fixtures import load_fixture
-from stringalg.quiver import monomialize
+from stringalg.oracle import end_dim_linear
+from stringalg.quiver import is_finite_dimensional, monomialize, validate_string_algebra
 from stringalg.graphmaps import (
     _key_function,
     _splits,
     admissible_pairs,
     hom_dim,
+    is_band_brick,
     is_brick,
 )
 from stringalg.words import (
     Letter,
+    Representation,
     StringWord,
     canonical_band,
     enumerate_bands,
     enumerate_strings,
+    is_band,
     lazy_word,
     word_from_text,
 )
+
+from test_step_table import random_string_quiver
 
 
 def test_lazy_word_has_one_factorization_each_way(lambda3):
@@ -239,3 +246,57 @@ def test_brick_flags_agree_with_oracle_on_band_rotations(corpus):
                         checked += 1
                         bricks += flag
     assert (checked, bricks) == (938, 286)
+
+
+def band_module(band, lam: int) -> Representation:
+    """M(b, lam, 1): the closed walk of the representative with its last
+    vertex glued to its first, one basis vector per visit, identity maps
+    along the letters and ``lam`` on the last one."""
+    w = band.representative
+    q, n = w.quiver, len(w)
+    dims = {v: 0 for v in q.vertices}
+    slot = []
+    for v in w.walk_vertices()[:-1]:
+        slot.append(dims[v])
+        dims[v] += 1
+    mats = {a.name: [[0] * dims[a.src] for _ in range(dims[a.tgt])] for a in q.arrows}
+    for i, x in enumerate(w.codes):
+        here, there = slot[i], slot[(i + 1) % n]
+        value = lam if i == n - 1 else 1
+        if x & 1:  # the walk runs against the arrow
+            mats[q.arrows[x >> 1].name][here][there] = value
+        else:
+            mats[q.arrows[x >> 1].name][there][here] = value
+    return Representation(q, dims, mats)
+
+
+def fixture_bands(corpus):
+    """The minimal bands of every string algebra of the corpus."""
+    algebras = [q for q in corpus.values() if validate_string_algebra(q).holds]
+    return [b for q in algebras for b in enumerate_bands(q)]
+
+
+def seeded_bands(seed: int = 11, count: int = 300, max_len: int = 8):
+    """At least ``count`` band classes of random finite-dimensional string
+    algebras (up to 6 vertices), non-minimal ones included: every band among
+    the strings up to ``max_len``, in its least rotation."""
+    rng = random.Random(seed)
+    bands = []
+    while len(bands) < count:
+        q = random_string_quiver(rng, 6)
+        if q.arrows and is_finite_dimensional(q):
+            found = {canonical_band(w) for w in enumerate_strings(q, max_len) if is_band(w)}
+            bands += sorted(found, key=lambda b: b.representative.codes)
+    return bands
+
+
+def test_band_brick_test_agrees_with_the_band_module(corpus):
+    # End M(b, 2, 1) over Q by the oracle, on the band module built here
+    bands = fixture_bands(corpus) + seeded_bands()
+    flags = [is_band_brick(b) for b in bands]
+    for b, flag in zip(bands, flags):
+        linear = end_dim_linear(band_module(b, 2)) == 1
+        assert flag == linear, (b.representative.quiver.to_text(), b.render())
+    non_minimal = [f for b, f in zip(bands, flags) if len(set(b.representative.codes)) < b.length()]
+    assert (len(bands), sum(flags)) == (354, 136)
+    assert (len(non_minimal), sum(non_minimal)) == (117, 8)
