@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from .census import _brick_walk, _check_m_max, brick_rotation
-from .graphmaps import _is_brick_string
+from .graphmaps import _is_brick_string, is_band_brick
 from .oracle import end_dim_linear
 from .quiver import (
     BoundQuiver,
@@ -25,7 +25,7 @@ from .quiver import (
     validate_special_biserial,
     validate_string_algebra,
 )
-from .transforms import band_reductions, fully_reduce, resolve_nodes
+from .transforms import resolve_nodes
 from .words import (
     BandClass,
     StringWord,
@@ -125,15 +125,16 @@ def _try_barbell(q: BoundQuiver) -> ClassLabel | None:
     quad = [r for r in q.relations if len(r.path1) == 2]
     if len(q.relations) != 2 or len(quad) != 2:
         return None
-    for r1, r2 in ((quad[0], quad[1]), (quad[1], quad[0])):
-        alpha, beta = r1.path1
-        gamma, delta = r2.path1
+    # the cycle through the middle vertex of each relation, traced once
+    cycles = []
+    for r in quad:
+        alpha, beta = r.path1
         x = q.arrow_by_name[alpha].tgt
-        y = q.arrow_by_name[gamma].tgt
-        c_l = _trace_cycle(q, x, beta, alpha)
-        c_r = _trace_cycle(q, y, delta, gamma)
-        if c_l is None or c_r is None:
-            continue
+        c = _trace_cycle(q, x, beta, alpha)
+        if c is None:
+            return None
+        cycles.append((x, c))
+    for (x, c_l), (y, c_r) in (cycles, cycles[::-1]):
         la = c_l.supported_arrows()
         ra = c_r.supported_arrows()
         lv = set(c_l.walk_vertices())
@@ -368,6 +369,20 @@ def _zero_bar_family(detail: dict) -> StringWord:
     return w
 
 
+def _check_powers(w: StringWord, m_max: int, graph_tested: bool, what: str, bug: str) -> tuple[int, ...]:
+    """The exponents ``1..m_max``, once each power of ``w`` has passed the
+    linear-algebra oracle and, unless ``graph_tested``, the graph-map brick test."""
+    for m in range(1, m_max + 1):
+        wm = w.power(m)
+        linear = end_dim_linear(string_module(wm)) == 1  # the power's one string check
+        graph = graph_tested or _is_brick_string(wm)
+        if not (graph and linear):
+            raise QuiverError(
+                f"{what} fails brick check at exponent {m} (graph={graph}, linear={linear}); {bug}"
+            )
+    return tuple(range(1, m_max + 1))
+
+
 def barbell_brick_family(label: ClassLabel, m_max: int) -> BrickFamilyWitness:
     """The canonical band whose powers stay bricks, verified for
     ``m = 1..m_max`` through graph maps and the linear-algebra oracle."""
@@ -388,32 +403,21 @@ def barbell_brick_family(label: ClassLabel, m_max: int) -> BrickFamilyWitness:
         construction = "ZeroBarStandard"
     else:
         raise QuiverError(f"no brick family construction for label {label.value}")
-    for m in range(1, m_max + 1):
-        wm = w.power(m)
-        linear = end_dim_linear(string_module(wm)) == 1  # the power's one string check
-        graph = label.value == HEREDITARY_AN or _is_brick_string(wm)
-        if not (graph and linear):
-            raise QuiverError(
-                f"constructed family fails brick check at exponent {m}"
-                f" (graph={graph}, linear={linear}); recognizer or construction bug"
-            )
-    return BrickFamilyWitness(canonical_band(w), w, tuple(range(1, m_max + 1)), construction)
+    graph_tested = label.value == HEREDITARY_AN
+    exponents = _check_powers(w, m_max, graph_tested, "constructed family", "recognizer or construction bug")
+    return BrickFamilyWitness(canonical_band(w), w, exponents, construction)
 
 
-def _reduced_family_witness(q: BoundQuiver) -> dict:
-    """Brick-family witness on the smallest full reduction of a
-    representation-infinite gentle algebra, checked for the powers 1 to 3."""
-    red, _ = min(fully_reduce(q), key=lambda t: (len(t[0].vertices), len(t[0].arrows), t[0].name))
-    label = classify_node_free(red)
-    fam = barbell_brick_family(label, 3)
-    return {
-        "kind": "brick-family",
-        "algebra": red.name,
-        "label": label.value,
-        "band": fam.band.render(),
-        "verified_exponents": list(fam.verified_exponents),
-        "construction": fam.construction,
-    }
+def _brick_band_witness(b: BandClass) -> dict:
+    """The witness of a band brick ``b``: a rotation of ``b`` or of its
+    inverse whose powers 1 to 3 are string bricks, through graph maps and
+    the linear-algebra oracle."""
+    band = b.render()
+    w = brick_rotation(b, 3)  # graph-tests the powers
+    if w is None:
+        raise QuiverError(f"band brick {band} has no brick rotation; graph-map bug")
+    exponents = _check_powers(w, 3, True, f"band brick {band}", "graph-map bug")
+    return {"kind": "brick-band", "band": band, "word": w.render(), "verified_exponents": list(exponents)}
 
 
 def tau_finiteness(q: BoundQuiver) -> TauVerdict:
@@ -421,15 +425,14 @@ def tau_finiteness(q: BoundQuiver) -> TauVerdict:
     algebra, on its monomial form:
 
     1. no band: ``Finite``;
-    2. gentle: ``Infinite`` by a brick family on a full reduction, checked
-       through graph maps and the linear-algebra oracle (hereditary and
-       barbell labels are gentle, so they land here);
+    2. a minimal band ``b`` whose band module M(b, lam, 1) is a brick
+       (``is_band_brick``): ``Infinite`` by Schroll-Treffinger-Valdivieso,
+       with a rotation of ``b`` whose powers 1 to 3 are string bricks
+       through graph maps and the linear-algebra oracle as cross-check;
     3. ``WindWheel`` or ``Nody``: ``Finite`` by the paper's theorem, with
        the length at which the brick walk runs out as witness: no string
        of that length or more is a brick;
-    4. a gentle band reduction (connected, and it keeps the band):
-       ``Infinite``, as in step 2;
-    5. otherwise ``Unknown``.
+    4. otherwise ``Unknown``, listing the minimal bands, none a band brick.
     """
     if not validate_special_biserial(q).holds:
         raise QuiverError("tau-finiteness expects a special biserial algebra")
@@ -444,21 +447,17 @@ def tau_finiteness(q: BoundQuiver) -> TauVerdict:
             {"kind": "rep-finite", "band_bound": 2 * len(q0.arrows)},
             tuple(trace),
         )
-    if validate_gentle(q0).holds:
-        trace.append("gentle with a band: infinite via full reduction")
-        return TauVerdict(INFINITE, _reduced_family_witness(q0), tuple(trace))
+    bands = enumerate_bands(q0)
+    for b in bands:
+        if is_band_brick(b):
+            trace.append(f"band {b.render()} is a band brick")
+            return TauVerdict(INFINITE, _brick_band_witness(b), tuple(trace))
     label = classify_mri_sb(q0)
     if label.value in (WIND_WHEEL, NODY):
         trace.append(f"classified {label.value}: brick-finite")
         return TauVerdict(FINITE, _brick_walk_witness(q0), tuple(trace))
-    reductions = band_reductions(q0)
-    for band, r in reductions:
-        if validate_gentle(r).holds:
-            trace.append(f"band reduction {band.render()} is rep-infinite gentle")
-            return TauVerdict(INFINITE, _reduced_family_witness(r), tuple(trace))
     trace.append("no witness found")
-    tried = [band.render() for band, _ in reductions]
-    return TauVerdict(UNKNOWN, {"kind": "attempted", "reductions": tried}, tuple(trace))
+    return TauVerdict(UNKNOWN, {"kind": "attempted", "bands": [b.render() for b in bands]}, tuple(trace))
 
 
 # -- homological report for gentle algebras ----------------------------------------------

@@ -101,8 +101,8 @@ def test_brick_scans_reject_an_empty_range_of_exponents(m_max):
 
 
 def test_band_brick_test_agrees_with_the_power_proxy(corpus):
-    # the verdict path still reads brick_rotation(b, 3); this is the
-    # evidence that the proxy and the exact test give the same answer
+    # tau's Infinite witness is brick_rotation(b, 3) of the first band that
+    # is_band_brick accepts: the proxy must find a rotation exactly then
     bands = fixture_bands(corpus) + seeded_bands(seed=12)
     flags = [is_band_brick(b) for b in bands]
     assert flags == [brick_rotation(b, 3) is not None for b in bands]
