@@ -382,6 +382,29 @@ def test_tau_checks_each_word_once(monkeypatch, capsys):
         assert set(strings.values()) <= {1}, name
 
 
+@pytest.mark.parametrize("name", ["atilde5", "barbell_a9", "zero_bar_gb"])
+def test_tau_brick_family_checks_each_power_once(name, monkeypatch, capsys):
+    # one fixture per Infinite shape (hereditary cycle, barbell, zero-relation bar):
+    # each verified power of the witness band is string-checked and brick-tested once
+    bricks, strings = Counter(), Counter()
+
+    def counting(counter, fn):
+        def wrapper(w):
+            counter[id(w.quiver), w.codes, w.basepoint] += 1
+            return fn(w)
+
+        return wrapper
+
+    for mod in (graphmaps, census, classify):
+        monkeypatch.setattr(mod, "_is_brick_string", counting(bricks, mod._is_brick_string))
+    for mod in (words, graphmaps, classify, transforms):
+        monkeypatch.setattr(mod, "is_string", counting(strings, mod.is_string))
+    assert main(["tau", f"fixture:{name}"]) == 0
+    assert json.loads(capsys.readouterr().out)["tau"]["witness"]["verified_exponents"] == [1, 2, 3]
+    assert set(bricks.values()) == {1}
+    assert set(strings.values()) == {1}
+
+
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_output_file_gets_exactly_the_stdout_bytes(fmt, tmp_path, capsys):
     argv = ["--format", fmt, "tau", "fixture:lambda3"]
