@@ -8,12 +8,12 @@ from .graphmaps import _is_brick_string, is_band_brick
 from .quiver import (
     BoundQuiver,
     QuiverError,
-    _extend,
+    _step_ok,
     _step_window,
     _steps,
     validate_string_algebra,
 )
-from .words import BandClass, StringWord, _is_canonical, enumerate_bands
+from .words import MAX_CENSUS_LEN, BandClass, StringWord, _is_canonical, enumerate_bands
 
 
 @dataclass
@@ -42,9 +42,6 @@ class CensusReport:
         }
 
 
-MAX_CENSUS_LEN = 1000
-
-
 def brick_census(q: BoundQuiver, max_len: int) -> CensusReport:
     """Count canonical strings and bricks per length up to ``max_len``, and
     find the length at which the brick walk runs out, if it does below
@@ -70,31 +67,36 @@ def _brick_walk(q: BoundQuiver, max_len: int) -> tuple[list[int], int | None]:
     """Canonical bricks of each length up to ``max_len``, and the length
     ``exhausted_at`` from which on no string is a brick, or None.
 
-    Bricks are found by one depth-first walk over the code walks of both
-    orientations, as in ``enumerate_strings``; a brick is counted when its
-    string is the smaller of itself and its inverse.  Each entry carries the state
-    of its string ``c`` of length ``n``, as known at its parent:
+    Bricks are found by one iterative depth-first walk over the code walks
+    of both orientations, as in ``enumerate_strings``; a brick is counted
+    when its string is the smaller of itself and its inverse.  An entry is
+    a string ``c`` of length ``n`` and the node ``p`` of ``c[:-1]`` in a
+    trie of words, one per walk, that maps ``(node, code)`` to the node of
+    the word one code longer; its roots are the lazy words.  The node of a
+    word ``w`` keeps a key naming its class up to inversion (the number of
+    the class's first node), its ``twin``, the node of the inverse word once
+    both exist (a root is its own key and twin), its ``link``, the node of
+    ``w[1:]`` (the root where ``w`` ends if ``|w| = 1``, None at a root),
+    and ``qm``/``sm``, the keys of the suffixes ``w[i:]``, ``1 <= i <= |w|``,
+    that follow an inverse/a direct code.  If ``w[0]`` is inverse, ``qm`` is
+    the link's ``qm`` plus the link's key and ``sm`` is the link's ``sm``;
+    if it is direct, the other way round.
 
-    - ``suf[i]``, the trie node of the suffix ``c[i:n-1]`` for
-      ``i = 0..n-1`` (``suf[n-1]`` is the root of the vertex where the last
-      code starts).  The trie, one per walk, maps ``(node, code)`` to the
-      node of the word one code longer.  A node's key names the class of
-      its word up to inversion: it is the handle of the class's first node.
-      A root, the node of a lazy middle, is its own key.  Each node points
-      to its twin, the node of its inverse word, once both exist; a root
-      is its own twin;
-    - ``qs`` and ``ss``, the positions ``0 < i < n`` where a quotient or a
-      submodule middle may start (after an inverse or a direct code);
-    - ``qi`` and ``si``, the keys of the quotient and submodule middles
-      that end before ``n - 1``: shared sets, never mutated.
-
-    The last code ``y`` turns the middles ending at ``n - 1`` into inner
-    middles of ``c``: quotient ones if ``y`` is direct, submodule ones if it
-    is inverse.  A string is a brick iff no quotient middle other than the
-    full one has the key of a submodule middle other than the full one, the
-    test of ``graphmaps._is_brick_string``.  ``qi`` and ``si`` only grow down
-    the tree, so once they meet, the string and its whole subtree are
-    non-bricks, and the walk skips them.
+    ``qi``/``si``, one pair of sets for the whole walk, hold the keys of
+    the quotient/submodule middles of ``c`` that end before its last code
+    ``y``.  A quotient middle starts at 0 or after an inverse code and ends
+    before a direct one; a submodule middle starts at 0 or after a direct
+    code and ends before an inverse one.  So an inverse ``y`` turns exactly
+    ``c[:n-1]`` and its suffixes that ``sm[p]`` keys into submodule
+    middles, with the keys ``{key[p]} | sm[p]``.  A direct ``y``
+    does the same with ``qm[p]`` and quotient middles.  A string is a brick
+    iff no quotient middle but the full one has the key of a submodule
+    middle but the full one (``graphmaps._is_brick_string``); besides those
+    in ``qi``/``si``, its middles are the suffixes that its own node's
+    ``qm``/``sm`` key.  ``qi`` and ``si`` only grow down the tree, so once
+    they meet, the string and its whole subtree are non-bricks, and the
+    walk skips them.  An entry that passes adds its new keys and pushes an
+    undo marker under its children that removes them again.
 
     So when no entry of some length ``l`` passes that test, no string of
     length ``l`` or more is a brick, since its first ``l`` codes would
@@ -103,11 +105,15 @@ def _brick_walk(q: BoundQuiver, max_len: int) -> tuple[list[int], int | None]:
     length ``max_len`` are leaves, and a leaf that is not canonical is
     skipped before the test.
 
-    The trie holds every factor of the words it holds, so the new nodes of
-    a string are those of its longest suffixes, and a new node's twin is
-    one code on from the twin of its tail: the inverse of ``c[i:]`` is the
-    inverse of ``c[i+1:]`` followed by ``c[i] ^ 1``.  A node takes its
-    twin's key, or a key of its own when it has no twin yet.
+    The trie holds every factor of its words, so when ``p`` has no child
+    ``y`` the missing nodes are those of the longest suffixes of ``c``,
+    found by following links from ``p`` and added shortest first.  A new
+    node's twin is one code on from the twin of its link: the inverse of
+    ``c[i:]`` is the inverse of ``c[i+1:]`` followed by ``c[i] ^ 1``.  A
+    node takes its twin's key, or a key of its own when it has no twin
+    yet.  Each link followed adds a node, so an entry takes O(1) Python
+    steps besides its new nodes; only set and tuple operations grow with
+    ``n``.
     """
     bricks = [0] * (max_len + 1)
     bricks[0] = len(q.vertices)  # lazy modules are simple
@@ -115,65 +121,73 @@ def _brick_walk(q: BoundQuiver, max_len: int) -> tuple[list[int], int | None]:
         return bricks, None
     deepest = 0  # the length of the longest entry that passed (lazy strings: 0)
     steps = _steps(q)
+    succ, lengths = steps.succ, steps.lengths
     width = 2 * len(q.arrows)
-    # node k has handle k * width, so (node, code) is the int handle + code;
-    # nodes 0..|Q0|-1 are the roots, one per vertex in vertex order
-    root = [q.vertex_index[v] * width for v in steps.ends]  # at each code's end
+    # nodes are numbered, 0..|Q0|-1 being the roots in vertex order;
+    # child maps node * width + code to the node one code longer
+    root = [q.vertex_index[v] for v in steps.ends]  # at each code's end
     child: dict[int, int] = {}
     get = child.get
-    key = {k * width: k * width for k in range(len(q.vertices))}
-    twin: dict[int, int | None] = dict(key)
+    key = list(range(len(q.vertices)))
+    twin: list[int | None] = list(key)
+    link: list[int | None] = [None] * len(key)
+    qm: list[tuple[int, ...]] = [()] * len(key)
+    sm, qi, si = list(qm), set(), set()
 
-    empty: frozenset[int] = frozenset()
-    frontier: list = [((x,), (root[x ^ 1],), (), (), empty, empty) for x in range(width)]
-    while frontier:
-        c, suf, qs, ss, qi, si = frontier.pop()
+    stack: list = [((x,), root[x ^ 1]) for x in range(width)]
+    pop = stack.pop
+    while stack:
+        c, p = pop()
+        if p.__class__ is set:  # an undo marker: the keys c leave the set p
+            p -= c
+            continue
         n = len(c)
+        if lengths and not _step_ok(steps, c, n - 1):
+            continue  # children are pushed by succ: check longer relations here
         canonical = _is_canonical(c)
         leaf = n == max_len
         if leaf and not canonical:
             continue
         y = c[-1]
-        # the middles ending at n - 1, (0, n - 1) among them, are now inner
-        if y & 1:
-            new = {key[suf[i]] for i in ss}
-            new.add(key[suf[0]])
-            if not qi.isdisjoint(new):
-                continue
-            si = si | new
-            qs += (n,)
-        else:
-            new = {key[suf[i]] for i in qs}
-            new.add(key[suf[0]])
-            if not si.isdisjoint(new):
-                continue
-            qi = qi | new
-            ss += (n,)
+        other, side, m = (qi, si, sm) if y & 1 else (si, qi, qm)
+        kp, mp = key[p], m[p]  # the middles ending at n - 1
+        if kp in other or not other.isdisjoint(mp):
+            continue
+        added = {kp, *mp}
+        added -= side
+        side |= added
         if n > deepest:
             deepest = n
-        t = [get(h + y) for h in suf]
-        t.append(root[y])
-        if leaf:
-            t[0] = 0  # the full word is a middle of no counted string
-        # the new nodes are those of the longest suffixes; shortest first
-        for i in range(leaf + t.count(None) - 1, leaf - 1, -1):
-            h = t[i] = child[suf[i] + y] = len(key) * width
-            tw = twin[t[i + 1]]
-            if tw is not None:
-                tw = get(tw + (c[i] ^ 1))
-            twin[h] = tw
-            if tw is None:
-                key[h] = h
-            else:
-                key[h] = key[tw]
-                twin[tw] = h
+        h = get(p * width + y)
+        if h is None:
+            miss = []  # miss[i] is the node of c[i:n-1]
+            u = p
+            while h is None:
+                miss.append(u)
+                u = link[u]
+                h = root[y] if u is None else get(u * width + y)
+            for i in range(len(miss) - 1, -1, -1):
+                x, tail = c[i], h
+                h = child[miss[i] * width + y] = len(key)
+                tw = twin[tail]
+                tw = None if tw is None else get(tw * width + (x ^ 1))
+                twin.append(tw)
+                key.append(h if tw is None else key[tw])
+                if tw is not None:
+                    twin[tw] = h
+                link.append(tail)
+                k = (key[tail],)
+                qm.append(qm[tail] + k if x & 1 else qm[tail])
+                sm.append(sm[tail] if x & 1 else sm[tail] + k)
         if canonical:
-            qe = {key[t[i]] for i in qs}
-            se = {key[t[i]] for i in ss}
-            # qe, se never meet: qs, ss are disjoint, so lengths differ, and no word node keys a root
-            bricks[n] += qe.isdisjoint(si) and se.isdisjoint(qi)
-        if not leaf:
-            frontier += [(e, t, qs, ss, qi, si) for e in _extend(steps, c)]
+            # qm[h], sm[h] never meet: their suffixes differ in length
+            bricks[n] += si.isdisjoint(qm[h]) and qi.isdisjoint(sm[h])
+        if leaf:
+            side -= added
+        else:
+            if added:
+                stack.append((added, side))
+            stack += [(c + (z,), h) for z in succ[y]]
     return bricks, deepest + 1 if deepest + 1 < max_len else None
 
 

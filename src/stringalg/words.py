@@ -220,10 +220,16 @@ def _is_canonical(c: tuple[int, ...]) -> bool:
     return first < inv_first or (first == inv_first and c < _inverse_codes(c))
 
 
+MAX_CENSUS_LEN = 1000  # the longest walk that string and brick enumerations accept
+
+
 def enumerate_strings(q: BoundQuiver, max_len: int) -> list[StringWord]:
-    """All canonical strings of length at most ``max_len``, sorted."""
+    """All canonical strings of length at most ``max_len`` (at most
+    ``MAX_CENSUS_LEN``), sorted."""
     if max_len < 0:
         raise QuiverError(f"max_len must be at least 0, got {max_len}")
+    if max_len > MAX_CENSUS_LEN:
+        raise QuiverError(f"max_len must be at most {MAX_CENSUS_LEN}, got {max_len}")
     _check_monomial(q)
     canonical = []
     if max_len:

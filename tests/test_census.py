@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 from stringalg.census import brick_census, brick_rotation, unique_brick_band_scan
 from stringalg.classify import barbell_brick_family, classify_node_free, tau_finiteness
 from stringalg.fixtures import bongartz_e, bongartz_glued, double_cycle, load_fixture
-from stringalg.graphmaps import is_band_brick, is_brick
-from stringalg.quiver import QuiverError, parse_quiver, validate_string_algebra
-from stringalg.words import canonical_band, enumerate_bands, enumerate_strings, word_from_text
+from stringalg.graphmaps import _key_function, _splits, is_band_brick, is_brick
+from stringalg.quiver import QuiverError, _step_ok, _steps, parse_quiver, validate_string_algebra
+from stringalg.words import StringWord, canonical_band, enumerate_bands, enumerate_strings, word_from_text
 
 from test_graphmaps import fixture_bands, seeded_bands
 from test_step_table import special_quivers
@@ -213,10 +213,69 @@ def test_census_kernel_agrees_with_public_is_brick_on_random_quivers(q, max_len)
 @given(special_quivers(), st.integers(min_value=0, max_value=8))
 def test_no_brick_from_where_the_walk_runs_out_on_random_quivers(q, max_len):
     exhausted_at = brick_census(q, max_len).exhausted_at
+    assert exhausted_at == _reference_exhausted_at(q, max_len), q.to_text()
     if exhausted_at is None:
         return
     longer = [w for w in enumerate_strings(q, max_len + 4) if len(w) >= exhausted_at]
     assert not any(is_brick(w) for w in longer), q.to_text()
+
+
+def _reference_exhausted_at(q, max_len):
+    """Where the brick walk runs out, recomputed per prefix: a prefix passes when no
+    quotient middle with a right neighbour inside it has the key of such a
+    submodule middle.  With L the longest code walk of length at most
+    ``max_len - 1`` whose prefixes all pass, the walk runs out at L + 1
+    when that is below ``max_len``."""
+    steps = _steps(q)
+    width = 2 * len(q.arrows)
+
+    def passes(c):
+        key = _key_function(c, StringWord(q, c).walk_vertices())
+        quotient = {key(i, j) for i, j in _splits(c, 1) if j < len(c)}
+        return quotient.isdisjoint(key(i, j) for i, j in _splits(c, 0) if j < len(c))
+
+    longest = 0
+    stack = [(x,) for x in range(width)] if max_len > 1 else []
+    while stack:
+        c = stack.pop()
+        if not passes(c):
+            continue
+        longest = max(longest, len(c))
+        if len(c) < max_len - 1:
+            grown = (c + (y,) for y in range(width))
+            stack.extend(e for e in grown if _step_ok(steps, e, len(c)))
+    return longest + 1 if longest + 1 < max_len else None
+
+
+def test_exhausted_at_agrees_with_a_reference_on_the_corpus(corpus):
+    # tau's walk of 2 |Q1| + 2, up to 20: far enough for windwheel_a12 (18)
+    found = {}
+    for name, q in corpus.items():
+        if not validate_string_algebra(q).holds:
+            continue
+        max_len = min(2 * len(q.arrows) + 2, 20)
+        found[name] = brick_census(q, max_len).exhausted_at
+        assert found[name] == _reference_exhausted_at(q, max_len), name
+    assert len(found) == 25
+    assert sorted(v for v in found.values() if v is not None) == [2, 3, 4, 5, 6, 6, 11, 18]
+
+
+@pytest.mark.parametrize("r", [3, 4])
+def test_exhausted_at_agrees_with_a_reference_on_long_bars(r):
+    # bongartz_e(1, 1, r) runs out at 3r + 3 = 3 |Q1| - 3, deeper than the corpus walks
+    q = bongartz_e(1, 1, r)
+    expected = _reference_exhausted_at(q, 3 * r + 6)
+    assert expected == 3 * r + 3
+    assert brick_census(q, 3 * r + 6).exhausted_at == expected
+
+
+def test_deep_walk_to_the_census_bound():
+    # the brick walk is iterative: a walk to length 1000 needs no recursion
+    q = load_fixture("a9")
+    report = brick_census(q, 1000)
+    assert report.exhausted_at is None
+    got = {l: list(report.per_length[l]) for l in range(61)}
+    assert got == _public_counts(q, 60)
 
 
 _INFINITE_FIXTURES = (

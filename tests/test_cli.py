@@ -238,6 +238,9 @@ def test_trim_subcommand_components(tmp_path):
         (["hom", "fixture:lambda1", "beta", "e(3)"], "'lambda1' has a commutativity relation"),
         # used to raise OverflowError from a per-length list
         (["census", "fixture:a9", "--max-len", "99999999999999999999"], "max_len must be at most 1000"),
+        # used to run until killed: the census bound holds for every walk
+        (["strings", "fixture:lambda2", "--max-len", "99999999999999999999"], "max_len must be at most 1000"),
+        (["xcheck", "fixture:lambda2", "--max-len", "99999999999999999999"], "max_len must be at most 1000"),
     ],
 )
 def test_bad_arguments_are_input_errors(argv, message, capsys):
