@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphmaps import _is_brick_string, is_band_brick
+from .graphmaps import is_band_brick
 from .quiver import (
     BoundQuiver,
     QuiverError,
@@ -13,7 +13,7 @@ from .quiver import (
     _steps,
     validate_string_algebra,
 )
-from .words import MAX_CENSUS_LEN, BandClass, StringWord, _is_canonical, enumerate_bands
+from .words import MAX_CENSUS_LEN, BandClass, _is_canonical, enumerate_bands
 
 
 @dataclass
@@ -209,29 +209,6 @@ def _string_counts(q: BoundQuiver, max_len: int) -> list[int]:
             layer = grown
         strings[n] = sum(layer.values()) // 2
     return strings
-
-
-def _check_m_max(m_max: int) -> None:
-    # an empty range of exponents would make every word pass
-    if m_max < 1:
-        raise QuiverError(f"m_max must be at least 1, got {m_max}")
-
-
-def brick_rotation(b: BandClass, m_max: int) -> StringWord | None:
-    """A rotation of the class whose powers up to ``m_max`` are all bricks.
-
-    Rotations of one band give non-isomorphic string modules, so the brick
-    property must be searched over the class, not read off one
-    representative.
-    """
-    _check_m_max(m_max)
-    rep = b.representative
-    for base in (rep, rep.inverse()):
-        for k in range(len(rep)):
-            r = base.rotate(k)
-            if all(_is_brick_string(r.power(m)) for m in range(1, m_max + 1)):
-                return r
-    return None
 
 
 def unique_brick_band_scan(q: BoundQuiver, max_band_len: int) -> list[BandClass]:

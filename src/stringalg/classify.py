@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
-from .census import _brick_walk, _check_m_max, brick_rotation
+from .census import _brick_walk
 from .graphmaps import _is_brick_string, is_band_brick
 from .oracle import end_dim_linear
 from .quiver import (
@@ -43,6 +43,7 @@ GENERALIZED_BARBELL = "GeneralizedBarbell"
 WIND_WHEEL = "WindWheel"
 NODY = "Nody"
 OTHER = "Other"
+BRICK_POWERS = (1, 2, 3)  # the powers of a band rotation that a certificate checks
 
 
 @dataclass(frozen=True)
@@ -369,54 +370,75 @@ def _zero_bar_family(detail: dict) -> StringWord:
     return w
 
 
-def _check_powers(w: StringWord, m_max: int, graph_tested: bool, what: str, bug: str) -> tuple[int, ...]:
-    """The exponents ``1..m_max``, once each power of ``w`` has passed the
-    linear-algebra oracle and, unless ``graph_tested``, the graph-map brick test."""
-    for m in range(1, m_max + 1):
-        wm = w.power(m)
-        linear = end_dim_linear(string_module(wm)) == 1  # the power's one string check
-        graph = graph_tested or _is_brick_string(wm)
-        if not (graph and linear):
+def brick_rotation(b: BandClass) -> StringWord | None:
+    """A rotation of ``b`` or of its inverse whose powers ``BRICK_POWERS``
+    are string bricks, or None; rotations give non-isomorphic modules.
+
+    A rotation found proves ``is_band_brick(b)``.  If not, a quotient and a
+    submodule middle of b^oo, shorter than ``n = |b|`` and with both
+    neighbours, share a key.  Each recurs every ``n`` letters, so for a
+    rotation ``w`` and ``m >= 2`` it starts at one of the positions ``1..n``
+    of the window ``w^m`` of b^oo (or of its inverse, which has the same
+    middles) and ends by ``2n - 1``, neighbours inside: their pair is a
+    second endomorphism of ``w^m``.  The converse is lemma (S), unproved:
+    every band brick has a rotation whose powers are all bricks.
+    """
+    rep = b.representative
+    for base in (rep, rep.inverse()):
+        for k in range(len(rep)):
+            r = base.rotate(k)
+            if all(_is_brick_string(r.power(m)) for m in BRICK_POWERS):
+                return r
+    return None
+
+
+def _check_powers(w: StringWord, what: str) -> tuple[int, ...]:
+    """``BRICK_POWERS``, once the linear-algebra oracle confirms that each of
+    those powers of ``w``, which passed the graph-map brick test, is a brick."""
+    for m in BRICK_POWERS:
+        if end_dim_linear(string_module(w.power(m))) != 1:  # the power's one string check
             raise QuiverError(
-                f"{what} fails brick check at exponent {m} (graph={graph}, linear={linear}); {bug}"
+                f"{what} fails brick check at exponent {m} (graph=True, linear=False); graph-map bug"
             )
-    return tuple(range(1, m_max + 1))
+    return BRICK_POWERS
 
 
-def barbell_brick_family(label: ClassLabel, m_max: int) -> BrickFamilyWitness:
-    """The canonical band whose powers stay bricks, verified for
-    ``m = 1..m_max`` through graph maps and the linear-algebra oracle."""
-    _check_m_max(m_max)
+def _rotation_powers(b: BandClass, what: str, cause: str) -> tuple[StringWord, tuple[int, ...]]:
+    """``brick_rotation(b)`` and ``_check_powers`` of it; an error naming ``cause`` if there is none."""
+    w = brick_rotation(b)
+    if w is None:
+        raise QuiverError(f"{what} has no brick rotation; {cause}")
+    return w, _check_powers(w, what)
+
+
+def barbell_brick_family(label: ClassLabel) -> BrickFamilyWitness:
+    """The canonical band whose powers stay bricks, verified at
+    ``BRICK_POWERS`` through graph maps and the linear-algebra oracle."""
     detail = label.detail
     if label.value == HEREDITARY_AN:
         # the seam vertex must not land in both top and socle; some rotation
         # of the cycle always works (a simple of defect -1 exists on the cycle)
-        w = brick_rotation(detail["band"], m_max)  # graph-tests the powers
-        if w is None:
-            raise QuiverError("no brick rotation of the cycle band; recognizer bug")
-        construction = "HereditaryAn"
-    elif label.value == BARBELL:
-        w = _positive_bar_family(detail)
-        construction = "BarbellStandard"
+        w, exponents = _rotation_powers(detail["band"], "cycle band", "recognizer bug")
+        return BrickFamilyWitness(canonical_band(w), w, exponents, "HereditaryAn")
+    if label.value == BARBELL:
+        w, construction = _positive_bar_family(detail), "BarbellStandard"
     elif label.value == GENERALIZED_BARBELL:
-        w = _zero_bar_family(detail)
-        construction = "ZeroBarStandard"
+        w, construction = _zero_bar_family(detail), "ZeroBarStandard"
     else:
         raise QuiverError(f"no brick family construction for label {label.value}")
-    graph_tested = label.value == HEREDITARY_AN
-    exponents = _check_powers(w, m_max, graph_tested, "constructed family", "recognizer or construction bug")
-    return BrickFamilyWitness(canonical_band(w), w, exponents, construction)
+    what = "constructed family"
+    for m in BRICK_POWERS:
+        if not _is_brick_string(w.power(m)):
+            raise QuiverError(f"{what} fails brick check at exponent {m}; recognizer or construction bug")
+    return BrickFamilyWitness(canonical_band(w), w, _check_powers(w, what), construction)
 
 
 def _brick_band_witness(b: BandClass) -> dict:
-    """The witness of a band brick ``b``: a rotation of ``b`` or of its
-    inverse whose powers 1 to 3 are string bricks, through graph maps and
-    the linear-algebra oracle."""
+    """The witness of a band brick ``b``: ``brick_rotation(b)``, its powers
+    checked by the linear-algebra oracle."""
     band = b.render()
-    w = brick_rotation(b, 3)  # graph-tests the powers
-    if w is None:
-        raise QuiverError(f"band brick {band} has no brick rotation; graph-map bug")
-    exponents = _check_powers(w, 3, True, f"band brick {band}", "graph-map bug")
+    cause = "graph-map bug, or a counterexample to lemma (S) at powers 1 to 3"
+    w, exponents = _rotation_powers(b, f"band brick {band}", cause)
     return {"kind": "brick-band", "band": band, "word": w.render(), "verified_exponents": list(exponents)}
 
 

@@ -3,12 +3,20 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stringalg.census import brick_census, brick_rotation, unique_brick_band_scan
-from stringalg.classify import barbell_brick_family, classify_node_free, tau_finiteness
+from stringalg.census import brick_census, unique_brick_band_scan
+from stringalg.classify import barbell_brick_family, brick_rotation, classify_node_free, tau_finiteness
 from stringalg.fixtures import bongartz_e, bongartz_glued, double_cycle, load_fixture
 from stringalg.graphmaps import _key_function, _splits, is_band_brick, is_brick
+from stringalg.oracle import end_dim_linear
 from stringalg.quiver import QuiverError, _step_ok, _steps, parse_quiver, validate_string_algebra
-from stringalg.words import StringWord, canonical_band, enumerate_bands, enumerate_strings, word_from_text
+from stringalg.words import (
+    StringWord,
+    canonical_band,
+    enumerate_bands,
+    enumerate_strings,
+    string_module,
+    word_from_text,
+)
 
 from test_graphmaps import fixture_bands, seeded_bands
 from test_step_table import special_quivers
@@ -47,38 +55,48 @@ def test_census_report_is_deterministic(lambda4):
     assert a == b
 
 
+def _fourth_power_is_a_brick(w: StringWord) -> bool:
+    # the families verify the powers 1 to 3; one more, by both brick tests
+    w4 = w.power(4)
+    return is_brick(w4) and end_dim_linear(string_module(w4)) == 1
+
+
 def test_barbell_family_all_powers(loops_barbell):
     label = classify_node_free(load_fixture("barbell_a9"))
-    fam = barbell_brick_family(label, m_max=4)
-    assert fam.verified_exponents == (1, 2, 3, 4)
+    fam = barbell_brick_family(label)
+    assert fam.verified_exponents == (1, 2, 3)
     assert fam.construction == "BarbellStandard"
+    assert _fourth_power_is_a_brick(fam.word)
 
     label54 = classify_node_free(loops_barbell)
-    fam54 = barbell_brick_family(label54, m_max=4)
+    fam54 = barbell_brick_family(label54)
     expected = canonical_band(word_from_text(loops_barbell, "theta gamma- theta- alpha-"))
     assert fam54.band == expected
+    assert _fourth_power_is_a_brick(fam54.word)
 
 
 def test_zero_bar_family_word(corpus):
     q = corpus["zero_bar_gb"]
     label = classify_node_free(q)
-    fam = barbell_brick_family(label, m_max=3)
+    fam = barbell_brick_family(label)
     assert fam.construction == "ZeroBarStandard"
     assert fam.word.render() == "beta gamma alpha mu-"
 
 
 def test_hereditary_family(corpus):
     q = corpus["atilde5"]
-    fam = barbell_brick_family(classify_node_free(q), m_max=4)
+    fam = barbell_brick_family(classify_node_free(q))
     assert fam.construction == "HereditaryAn"
+    assert fam.verified_exponents == (1, 2, 3)
     assert fam.band.length() == 6
+    assert _fourth_power_is_a_brick(fam.word)
 
 
 def test_family_requires_recognized_label():
     from stringalg.classify import ClassLabel
 
     with pytest.raises(QuiverError):
-        barbell_brick_family(ClassLabel("Other"), 2)
+        barbell_brick_family(ClassLabel("Other"))
 
 
 def test_unique_brick_band_scan(loops_barbell, windwheel):
@@ -88,40 +106,50 @@ def test_unique_brick_band_scan(loops_barbell, windwheel):
     assert unique_brick_band_scan(windwheel, 2 * len(windwheel.arrows)) == []
 
 
-@pytest.mark.parametrize("m_max", [0, -1])
-def test_brick_scans_reject_an_empty_range_of_exponents(m_max):
-    # an empty range would make all() pass every band; this band has no
-    # brick rotation even at m_max = 1
+def test_a_band_with_no_brick_rotation_even_at_power_1():
     q = load_fixture("bongartz_ag_1_1")
     (band,) = enumerate_bands(q, 8)
-    assert brick_rotation(band, 1) is None
+    rep = band.representative
+    assert not any(is_brick(base.rotate(k)) for base in (rep, rep.inverse()) for k in range(len(rep)))
+    assert brick_rotation(band) is None
     assert unique_brick_band_scan(q, 8) == []
-    with pytest.raises(QuiverError, match="m_max must be at least 1"):
-        brick_rotation(band, m_max)
+
+
+def long_bar_family_bands():
+    """The minimal bands of the family shapes with long bars:
+    ``bongartz_e(p, q, r)`` for p <= 3, q <= 2 and r = 3..6,
+    ``bongartz_glued(p, q)`` for p, q <= 3 and ``double_cycle(n)`` for n <= 7."""
+    shapes = [bongartz_e(p, q, r) for p in range(1, 4) for q in range(1, 3) for r in range(3, 7)]
+    shapes += [bongartz_glued(p, q) for p in range(1, 4) for q in range(1, 4)]
+    shapes += [double_cycle(n) for n in range(1, 8)]
+    return [b for q in shapes for b in enumerate_bands(q)]
 
 
 def test_band_brick_test_agrees_with_the_power_proxy(corpus):
-    # tau's Infinite witness is brick_rotation(b, 3) of the first band that
-    # is_band_brick accepts: the proxy must find a rotation exactly then
-    bands = fixture_bands(corpus) + seeded_bands(seed=12)
+    # tau's Infinite witness is brick_rotation(b) of the first band that
+    # is_band_brick accepts: the proxy must find a rotation exactly then.
+    # A rotation proves a band brick (brick_rotation's docstring); the other
+    # direction is lemma (S), sampled here, with three powers beyond the
+    # checked ones
+    old = fixture_bands(corpus) + seeded_bands(seed=12)
+    bands = old + long_bar_family_bands()
     flags = [is_band_brick(b) for b in bands]
-    assert flags == [brick_rotation(b, 3) is not None for b in bands]
-    assert (len(bands), sum(flags)) == (353, 150)
+    rotations = [brick_rotation(b) for b in bands]
+    assert flags == [r is not None for r in rotations]
+    assert all(is_brick(r.power(m)) for r in rotations if r is not None for m in (4, 5, 6))
+    assert (len(old), sum(flags[: len(old)])) == (353, 150)
+    assert (len(bands), sum(flags)) == (397, 158)
 
 
 def test_full_cycle_band_qualifies_on_small_cycle():
     kron = load_fixture("bongartz_a_1_1")
     scan = unique_brick_band_scan(kron, 8)
     assert len(scan) == 1
-    rot = brick_rotation(scan[0], 3)
+    rot = brick_rotation(scan[0])
     assert rot is not None and len(rot) == 2
 
 
 def test_brick_flags_agree_with_oracle_on_more_fixtures(corpus):
-    from stringalg.graphmaps import is_brick
-    from stringalg.oracle import end_dim_linear
-    from stringalg.words import enumerate_strings, string_module
-
     checked = 0
     for name, q in corpus.items():
         if not validate_string_algebra(q).holds:

@@ -13,13 +13,14 @@ from stringalg.classify import (
     NODY,
     OTHER,
     WIND_WHEEL,
+    brick_rotation,
     classify_mri_sb,
     classify_node_free,
     gentle_hom_report,
     is_monomial_minimal_rep_infinite,
     tau_finiteness,
 )
-from stringalg.census import brick_census, brick_rotation
+from stringalg.census import brick_census
 from stringalg.cli import main
 from stringalg.fixtures import fixture_names, load_fixture
 from stringalg.quiver import (
@@ -44,7 +45,7 @@ from stringalg.graphmaps import is_band_brick, is_brick
 from stringalg.oracle import end_dim_linear
 
 from test_graphmaps import band_module
-from test_step_table import random_string_quiver, special_quivers
+from test_step_table import brauer_graph_algebra, random_brauer_graph, random_string_quiver, special_quivers
 from test_transforms import _shuffled_copy, replayed_outputs
 
 
@@ -237,8 +238,11 @@ def test_tau_raises_when_the_cross_check_disagrees_with_the_band_brick_test(corp
     linear = r"fails brick check at exponent 1 \(graph=True, linear=False\); graph-map bug"
     with pytest.raises(QuiverError, match=f"{band} {linear}"):
         tau_finiteness(q)
-    monkeypatch.setattr(classify, "brick_rotation", lambda b, m_max: None)
-    with pytest.raises(QuiverError, match=f"{band} has no brick rotation; graph-map bug"):
+    monkeypatch.setattr(classify, "brick_rotation", lambda b: None)
+    # a rotation proves a band brick, so none is a graph-map bug or a
+    # counterexample to lemma (S)
+    cause = r"graph-map bug, or a counterexample to lemma \(S\) at powers 1 to 3"
+    with pytest.raises(QuiverError, match=f"{band} has no brick rotation; {cause}"):
         tau_finiteness(q)
 
 
@@ -316,7 +320,7 @@ def test_verdict_table_of_the_seeded_random_sample():
     for q in _seeded_sample():
         verdict = tau_finiteness(q).value
         exhausted_at = brick_census(q, 2 * len(q.arrows) + 2).exhausted_at
-        brick_band = any(brick_rotation(b, 3) is not None for b in enumerate_bands(q))
+        brick_band = any(brick_rotation(b) is not None for b in enumerate_bands(q))
         table[verdict, exhausted_at is not None, brick_band] += 1
         local += verdict == "Unknown" and len(q.vertices) == 1
         if exhausted_at is not None:
@@ -329,6 +333,40 @@ def test_verdict_table_of_the_seeded_random_sample():
     assert local == 85
     # the walk runs out by length 2|Q1| + 1, and that bound is attained
     assert min(slack) == 0
+
+
+def _brauer_graph_shape(edges, orders):
+    """"tree", "odd cycle", "even cycle" or "cycles" (two or more), for a
+    connected graph with one cyclic order per vertex."""
+    cycles = len(edges) - len(orders) + 1
+    if cycles != 1:
+        return "tree" if cycles == 0 else "cycles"
+    core = list(edges)  # strip leaves until only the cycle is left
+    while leaves := {x for x, d in Counter(x for e in core for x in e).items() if d == 1}:
+        core = [e for e in core if not leaves & set(e)]
+    return "odd cycle" if len(core) % 2 else "even cycle"
+
+
+def test_brauer_graph_algebras_agree_with_adachi_aihara_chan():
+    # Adachi-Aihara-Chan: a Brauer graph algebra is tau-tilting finite iff its
+    # graph has at most one cycle, of odd length if any.  No decided verdict
+    # may contradict it; the table pins how many odd-cycle graphs tau leaves
+    # Unknown, for a change that decides them to update
+    rng, table = random.Random(1), Counter()
+    for _ in range(1000):
+        edges, orders = random_brauer_graph(rng)
+        q = brauer_graph_algebra(edges, orders)
+        shape, verdict = _brauer_graph_shape(edges, orders), tau_finiteness(q).value
+        if verdict != "Unknown":
+            assert (verdict == "Finite") == (shape in ("tree", "odd cycle")), q.to_text()
+        table[shape, verdict] += 1
+    assert table == {
+        ("tree", "Finite"): 664,
+        ("odd cycle", "Finite"): 62,
+        ("odd cycle", "Unknown"): 148,
+        ("even cycle", "Infinite"): 60,
+        ("cycles", "Infinite"): 66,
+    }
 
 
 def _four_family_minimal(q):

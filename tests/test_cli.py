@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from stringalg import census, classify, cli, graphmaps, transforms, words
+from stringalg import classify, cli, graphmaps, transforms, words
 from stringalg.cli import main
 from stringalg.fixtures import fixture_names, load_fixture
 from stringalg.quiver import monomialize
@@ -370,7 +370,7 @@ def test_tau_checks_each_word_once(monkeypatch, capsys):
 
         return wrapper
 
-    for mod in (graphmaps, census, classify):
+    for mod in (graphmaps, classify):
         monkeypatch.setattr(mod, "_is_brick_string", counting(bricks, mod._is_brick_string))
     for mod in (words, graphmaps, classify, transforms):
         monkeypatch.setattr(mod, "is_string", counting(strings, mod.is_string))
@@ -398,7 +398,7 @@ def test_tau_brick_family_checks_each_power_once(name, monkeypatch, capsys):
 
         return wrapper
 
-    for mod in (graphmaps, census, classify):
+    for mod in (graphmaps, classify):
         monkeypatch.setattr(mod, "_is_brick_string", counting(bricks, mod._is_brick_string))
     for mod in (words, graphmaps, classify, transforms):
         monkeypatch.setattr(mod, "is_string", counting(strings, mod.is_string))

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from stringalg.census import brick_rotation
+from stringalg.classify import brick_rotation
 from stringalg.graphmaps import hom_dim
 from stringalg.oracle import (
     SANITY_PRIME,
@@ -217,7 +217,7 @@ def test_end_dimension_agrees_with_the_rational_rank(corpus):
             continue
         words = list(enumerate_strings(q, 6))
         for b in enumerate_bands(q):
-            w = brick_rotation(b, 3)
+            w = brick_rotation(b)
             if w is not None:
                 words += [w.power(m) for m in (1, 2, 3)]
         for w in words:

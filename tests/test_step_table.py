@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stringalg.quiver import (
+    COMMUTATIVITY,
     MONOMIAL,
     Arrow,
     BoundQuiver,
@@ -79,6 +80,55 @@ def random_string_quiver(rng, max_vertices: int = 7, special: bool = True) -> Bo
                     relations.append(Relation(MONOMIAL, (a.name, b, c)))
     q = BoundQuiver("random", vertices, arrows, relations)
     return max(q.components(), key=lambda c: len(c.arrows))
+
+
+def random_brauer_graph(rng, max_vertices: int = 6) -> tuple[list, list]:
+    """A simple connected graph on 2 to ``max_vertices`` vertices, as
+    ``(edges, orders)``: a random spanning tree plus up to two extra edges,
+    and at each vertex a random cyclic order of its edge numbers."""
+    n = rng.randint(2, max_vertices)
+    edges = [(rng.randint(0, v - 1), v) for v in range(1, n)]
+    for _ in range(rng.randint(0, 2)):
+        a, b = sorted(rng.sample(range(n), 2))
+        if (a, b) not in edges:
+            edges.append((a, b))
+    orders = [[i for i, e in enumerate(edges) if v in e] for v in range(n)]
+    for order in orders:
+        rng.shuffle(order)
+    return edges, orders
+
+
+def brauer_graph_algebra(edges: list[tuple[int, int]], orders: list[list[int]]) -> BoundQuiver:
+    """The Brauer graph algebra of multiplicity 1 of a simple connected graph
+    with ``edges``; ``orders[v]`` is the cyclic order of the edge numbers at
+    the graph vertex ``v``, and a vertex of degree 1 is truncated.
+
+    Its quiver has a vertex ``e<i>`` per edge and, at each graph vertex of
+    degree 2 or more, a cycle of arrows through its edges in their order.
+    With ``C_v(e)`` the cycle at ``v`` from ``e`` back to ``e``, the
+    relations are: ``a b = 0`` for arrows ``a``, ``b`` of different cycles;
+    ``C_v(e) = C_w(e)`` for an edge ``e = vw`` with both ends of degree 2 or
+    more; ``C_w(e) a = 0`` for an edge ``e = vw`` with ``v`` of degree 1,
+    where ``a`` is the first arrow of ``C_w(e)``.
+    """
+    cycle = {}  # (v, e) -> the arrows of C_v(e)
+    arrows = []
+    for v, order in enumerate(orders):
+        if len(order) < 2:
+            continue
+        names = [f"c{v}_{j}" for j in range(len(order))]
+        arrows += [Arrow(x, f"e{e}", f"e{f}") for x, e, f in zip(names, order, order[1:] + order[:1])]
+        cycle.update(((v, e), tuple(names[j:] + names[:j])) for j, e in enumerate(order))
+    relations = []
+    for (v, e), path in cycle.items():
+        w = sum(edges[e]) - v
+        if (w, e) not in cycle:
+            relations.append(Relation(MONOMIAL, path + path[:1]))
+            continue
+        relations.append(Relation(MONOMIAL, (cycle[w, e][-1], path[0])))  # into e around w, out around v
+        if v < w:
+            relations.append(Relation(COMMUTATIVITY, path, cycle[w, e]))
+    return BoundQuiver("brauer", [f"e{i}" for i in range(len(edges))], arrows, relations)
 
 
 @st.composite
