@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stringalg.census import brick_census, unique_brick_band_scan
-from stringalg.classify import barbell_brick_family, brick_rotation, classify_node_free, tau_finiteness
+from stringalg.classify import (
+    BRICK_POWERS,
+    barbell_brick_family,
+    brick_rotation,
+    classify_node_free,
+    tau_finiteness,
+)
 from stringalg.fixtures import bongartz_e, bongartz_glued, double_cycle, load_fixture
 from stringalg.graphmaps import _key_function, _splits, is_band_brick, is_brick
 from stringalg.oracle import end_dim_linear
@@ -106,13 +112,20 @@ def test_unique_brick_band_scan(loops_barbell, windwheel):
     assert unique_brick_band_scan(windwheel, 2 * len(windwheel.arrows)) == []
 
 
-def test_a_band_with_no_brick_rotation_even_at_power_1():
+@pytest.mark.parametrize("m_max", [0, -1])
+def test_brick_scans_reject_an_empty_range_of_exponents(m_max):
+    # an empty range would make all() pass every band, so the certificate's
+    # powers are fixed, start at 1 and take no bound; this band has no brick
+    # rotation even at power 1
+    assert BRICK_POWERS[0] == 1 and m_max not in BRICK_POWERS
     q = load_fixture("bongartz_ag_1_1")
     (band,) = enumerate_bands(q, 8)
     rep = band.representative
     assert not any(is_brick(base.rotate(k)) for base in (rep, rep.inverse()) for k in range(len(rep)))
     assert brick_rotation(band) is None
     assert unique_brick_band_scan(q, 8) == []
+    with pytest.raises(TypeError):
+        brick_rotation(band, m_max)
 
 
 def long_bar_family_bands():
