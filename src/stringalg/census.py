@@ -13,7 +13,7 @@ from .quiver import (
     _steps,
     validate_string_algebra,
 )
-from .words import MAX_CENSUS_LEN, BandClass, _is_canonical, enumerate_bands
+from .words import BandClass, _check_max_len, _is_canonical, enumerate_bands
 
 
 @dataclass
@@ -51,10 +51,7 @@ def brick_census(q: BoundQuiver, max_len: int) -> CensusReport:
     ``max_len`` is at most ``MAX_CENSUS_LEN`` (1000), checked before any
     per-length list is allocated; every census that finishes in practice
     stops far below it."""
-    if max_len < 0:
-        raise QuiverError(f"max_len must be at least 0, got {max_len}")
-    if max_len > MAX_CENSUS_LEN:
-        raise QuiverError(f"max_len must be at most {MAX_CENSUS_LEN}, got {max_len}")
+    _check_max_len(max_len)
     if not validate_string_algebra(q).holds:
         raise QuiverError("census expects a string algebra")
     strings = _string_counts(q, max_len)

@@ -27,6 +27,7 @@ from .quiver import (
 )
 from .transforms import resolve_nodes
 from .words import (
+    MAX_CENSUS_LEN,
     BandClass,
     StringWord,
     band_exists,
@@ -108,21 +109,31 @@ def _trace_cycle(q: BoundQuiver, x: str, out_arrow: str, in_arrow: str) -> Strin
 
 
 def _trace_bar(q: BoundQuiver, x: str, y: str, cycle_arrows: set[str]) -> StringWord | None:
-    """The unique walk from ``x`` to ``y`` avoiding the cycle arrows."""
-    start = [
+    """The unique walk from ``x`` to ``y`` avoiding the cycle arrows; it
+    leaves ``x`` by its one other arrow (see ``_try_barbell``)."""
+    (first,) = [
         2 * q.arrow_index[a.name] + inv
         for v_arrows, inv in ((q.outgoing(x), 0), (q.incoming(x), 1))
         for a in v_arrows
         if a.name not in cycle_arrows
     ]
-    if len(start) != 1:
-        return None
-    return _trace_walk(q, x, start[0], y)
+    return _trace_walk(q, x, first, y)
 
 
 def _try_barbell(q: BoundQuiver) -> ClassLabel | None:
     """Two cycles, each through the middle vertex of one quadratic relation,
-    joined by a bar, which has length 0 (a generalized barbell) iff they meet."""
+    joined by a bar, which has length 0 (a generalized barbell) iff they meet.
+
+    Once both cycles are traced, the pieces fit.  Tracing passes only
+    through 2-vertices, and one that is the middle of a relation stops it
+    (S2), so the cycles and the bar meet only at ``x`` and ``y``, and a bar
+    traced from ``y`` is the inverse of the one from ``x``.  In a special
+    biserial algebra a vertex of degree 3 or 4 is the middle of a relation
+    (of two at degree 4), so only ``x`` and ``y`` have degree above 2, and
+    ``x == y`` if one has degree 4.  So in a connected algebra with
+    ``x != y`` the walk from ``x`` off its cycle runs through 2-vertices to
+    ``y``: that is the bar, and with the two cycles it covers every arrow.
+    """
     quad = [r for r in q.relations if len(r.path1) == 2]
     if len(q.relations) != 2 or len(quad) != 2:
         return None
@@ -135,30 +146,13 @@ def _try_barbell(q: BoundQuiver) -> ClassLabel | None:
         if c is None:
             return None
         cycles.append((x, c))
-    for (x, c_l), (y, c_r) in (cycles, cycles[::-1]):
-        la = c_l.supported_arrows()
-        ra = c_r.supported_arrows()
-        lv = set(c_l.walk_vertices())
-        rv = set(c_r.walk_vertices())
-        if la & ra or lv & rv != ({x} if x == y else set()):
-            continue
-        if x == y and _is_serial(c_l) and _is_serial(c_r):
-            continue  # the composite cycle would be uniserial
-        bar = lazy_word(q, x) if x == y else _trace_bar(q, x, y, la | ra)
-        if bar is None:
-            continue
-        ba = bar.supported_arrows()
-        bv = set(bar.walk_vertices())
-        if la | ra | ba != {a.name for a in q.arrows}:
-            continue
-        if lv | rv | bv != set(q.vertices):
-            continue
-        if bv & lv != {x} or bv & rv != {y}:
-            continue
-        serial = x != y and _is_serial(bar)  # a length-0 bar is not serial
-        detail = {"x": x, "y": y, "c_l": c_l, "c_r": c_r, "bar": bar, "bar_serial": serial}
-        return ClassLabel(GENERALIZED_BARBELL if x == y else BARBELL, detail)
-    return None
+    (x, c_l), (y, c_r) = cycles
+    if x == y and _is_serial(c_l) and _is_serial(c_r):
+        return None  # the composite cycle would be uniserial
+    bar = lazy_word(q, x) if x == y else _trace_bar(q, x, y, c_l.supported_arrows() | c_r.supported_arrows())
+    serial = x != y and _is_serial(bar)  # a length-0 bar is not serial
+    detail = {"x": x, "y": y, "c_l": c_l, "c_r": c_r, "bar": bar, "bar_serial": serial}
+    return ClassLabel(GENERALIZED_BARBELL if x == y else BARBELL, detail)
 
 
 def _try_wind_wheel(q: BoundQuiver) -> ClassLabel | None:
@@ -328,16 +322,11 @@ class TauVerdict:
 
 def _brick_walk_witness(q: BoundQuiver) -> dict:
     """Where the brick walk of ``q`` runs out, and the string bricks it
-    counted: all of them, once it has run out."""
-    max_len = 2 * len(q.arrows) + 2
-    bricks, exhausted_at = _brick_walk(q, max_len)
-    return {
-        "kind": "brick-walk",
-        "algebra": q.name,
-        "max_len": max_len,
-        "exhausted_at": exhausted_at,
-        "bricks": sum(bricks),
-    }
+    counted: all of them, once it has run out.  The walk stops by itself at
+    the first length where no entry passes; ``MAX_CENSUS_LEN`` only caps
+    it, and ``exhausted_at`` is None only if the walk reaches the cap."""
+    bricks, exhausted_at = _brick_walk(q, MAX_CENSUS_LEN)
+    return {"kind": "brick-walk", "algebra": q.name, "exhausted_at": exhausted_at, "bricks": sum(bricks)}
 
 
 @dataclass

@@ -656,7 +656,10 @@ def monomialize(q: BoundQuiver) -> BoundQuiver:
     projective-injective module whose socle generates an ideal that does not
     change the representation type; killing it turns both parallel paths into
     zero relations.  Used to normalise quotients before representation-type
-    questions.
+    questions.  In a symmetric (say Brauer graph) algebra that ideal I is
+    central and radical, so A/I also keeps the support tau-tilting poset
+    (Eisele-Janssens-Raedschelders, "A reduction theorem for tau-rigid
+    modules", Math. Z. 2018).
     """
     if all(r.kind == MONOMIAL for r in q.relations):
         return q

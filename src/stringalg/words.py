@@ -223,13 +223,18 @@ def _is_canonical(c: tuple[int, ...]) -> bool:
 MAX_CENSUS_LEN = 1000  # the longest walk that string and brick enumerations accept
 
 
-def enumerate_strings(q: BoundQuiver, max_len: int) -> list[StringWord]:
-    """All canonical strings of length at most ``max_len`` (at most
-    ``MAX_CENSUS_LEN``), sorted."""
+def _check_max_len(max_len: int) -> None:
+    """Reject a walk length outside ``0..MAX_CENSUS_LEN``."""
     if max_len < 0:
         raise QuiverError(f"max_len must be at least 0, got {max_len}")
     if max_len > MAX_CENSUS_LEN:
         raise QuiverError(f"max_len must be at most {MAX_CENSUS_LEN}, got {max_len}")
+
+
+def enumerate_strings(q: BoundQuiver, max_len: int) -> list[StringWord]:
+    """All canonical strings of length at most ``max_len`` (at most
+    ``MAX_CENSUS_LEN``), sorted."""
+    _check_max_len(max_len)
     _check_monomial(q)
     canonical = []
     if max_len:

@@ -14,7 +14,7 @@ from stringalg.classify import (
 from stringalg.fixtures import bongartz_e, bongartz_glued, double_cycle, load_fixture
 from stringalg.graphmaps import _key_function, _splits, is_band_brick, is_brick
 from stringalg.oracle import end_dim_linear
-from stringalg.quiver import QuiverError, _step_ok, _steps, parse_quiver, validate_string_algebra
+from stringalg.quiver import BoundQuiver, QuiverError, _step_ok, _steps, parse_quiver, validate_string_algebra
 from stringalg.words import (
     StringWord,
     canonical_band,
@@ -87,6 +87,31 @@ def test_zero_bar_family_word(corpus):
     fam = barbell_brick_family(label)
     assert fam.construction == "ZeroBarStandard"
     assert fam.word.render() == "beta gamma alpha mu-"
+
+
+def test_zero_bar_family_word_when_the_serial_cycle_comes_first(corpus):
+    # listing the relations the other way round makes the loop gamma c_l:
+    # the construction swaps the cycles back and builds the same word
+    q = corpus["zero_bar_gb"]
+    swapped = BoundQuiver(q.name, q.vertices, q.arrows, q.relations[::-1])
+    label = classify_node_free(swapped)
+    assert label.detail["c_l"].render() == "gamma"
+    fam = barbell_brick_family(label)
+    assert fam.construction == "ZeroBarStandard"
+    assert fam.word.render() == "beta gamma alpha mu-"
+    assert fam.band.render() == barbell_brick_family(classify_node_free(q)).band.render()
+
+
+def test_barbell_family_when_the_bar_starts_direct(corpus):
+    # gb22's bar theta starts with a direct letter: the family word runs
+    # along both cycles forwards
+    label = classify_node_free(corpus["gb22"])
+    assert label.value == "Barbell" and label.detail["bar"].render() == "theta"
+    fam = barbell_brick_family(label)
+    assert fam.construction == "BarbellStandard"
+    assert fam.word.render() == "theta- gamma delta theta alpha beta"
+    assert fam.verified_exponents == (1, 2, 3)
+    assert _fourth_power_is_a_brick(fam.word)
 
 
 def test_hereditary_family(corpus):
@@ -355,3 +380,29 @@ _FINITE_FAMILY_SHAPES = (
 def test_finite_family_shapes_run_out_by_twice_the_arrows(q):
     exhausted_at = brick_census(q, 2 * len(q.arrows) + 2).exhausted_at
     assert exhausted_at is not None and exhausted_at <= 2 * len(q.arrows) + 1
+
+
+# the shapes with long bars; on 22 of these 36 the walk has not run out
+# below 2 |Q1| + 2
+_LONG_BAR_SHAPES = (
+    [bongartz_e(p, q, r) for p in range(1, 4) for q in range(1, 3) for r in range(3, 7)]
+    + [bongartz_glued(p, q) for p in range(1, 4) for q in range(1, 4)]
+    + [double_cycle(n) for n in (2, 4, 6)]
+)
+
+
+def test_finite_witness_runs_out_on_long_bar_shapes():
+    # tau walks until no entry passes, so its Finite witness is a length
+    runs_out = {}
+    for q in _LONG_BAR_SHAPES:
+        w = tau_finiteness(q).witness
+        assert w["kind"] == "brick-walk", q.name
+        e = runs_out[q.name] = w["exhausted_at"]
+        assert isinstance(e, int), q.name
+        assert brick_census(q, e + 3).exhausted_at == e, q.name
+    assert [runs_out[f"bongartz_e_1_1_{r}"] for r in range(3, 7)] == [12, 15, 18, 21]  # 3r + 3
+    # and no string brick of the lengths e to e + 2, by the public brick test
+    for q in (bongartz_e(1, 1, 3), bongartz_e(2, 1, 3), bongartz_e(1, 2, 4)):
+        e = runs_out[q.name]
+        longer = [w for w in enumerate_strings(q, e + 2) if len(w) >= e]
+        assert longer and not any(is_brick(w) for w in longer), q.name

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 from collections import Counter
 
@@ -24,7 +25,11 @@ from stringalg.census import brick_census
 from stringalg.cli import main
 from stringalg.fixtures import fixture_names, load_fixture
 from stringalg.quiver import (
+    MONOMIAL,
+    Arrow,
+    BoundQuiver,
     QuiverError,
+    Relation,
     is_finite_dimensional,
     monomialize,
     nodes,
@@ -67,6 +72,61 @@ def test_barbell_detail_reassembles_the_quiver():
         verts |= set(w.walk_vertices())
     assert arrows == {a.name for a in q.arrows}
     assert verts == set(q.vertices)
+
+
+def _two_relation_string_algebras():
+    """Every connected, node-free string algebra on v0, v1, v2 with 1 to 5
+    arrows (in- and out-degree at most 2; arrows as multisets of (source,
+    target) pairs) and two distinct length-2 relations."""
+    vertices = ["v0", "v1", "v2"]
+    ends = [(s, t) for s in vertices for t in vertices]
+    for m in range(1, 6):
+        for combo in itertools.combinations_with_replacement(ends, m):
+            outs, ins = Counter(s for s, _ in combo), Counter(t for _, t in combo)
+            if max(outs.values()) > 2 or max(ins.values()) > 2:
+                continue
+            arrows = [Arrow(f"a{i}", s, t) for i, (s, t) in enumerate(combo)]
+            paths = [(a.name, b.name) for a in arrows for b in arrows if a.tgt == b.src]
+            for r1, r2 in itertools.combinations(paths, 2):
+                q = BoundQuiver("small", vertices, arrows, [Relation(MONOMIAL, r1), Relation(MONOMIAL, r2)])
+                if q.is_connected() and validate_string_algebra(q).holds and not nodes(q):
+                    yield q
+
+
+def test_barbell_pieces_meet_only_at_their_ends_on_all_small_algebras():
+    # _try_barbell checks none of this: its docstring proves it from the tracing
+    algebras, labels, uniserial = 0, Counter(), 0
+    for q in _two_relation_string_algebras():
+        algebras += 1
+        label = classify_node_free(q)
+        if label.value not in (BARBELL, GENERALIZED_BARBELL):
+            # both cycles trace only where the composite cycle is uniserial
+            rels = [r.path1 for r in q.relations]
+            cycles = [classify._trace_cycle(q, q.arrow_by_name[a].tgt, b, a) for a, b in rels]
+            if None not in cycles:
+                uniserial += 1
+                middles = {q.arrow_by_name[a].tgt for a, _ in rels}
+                assert len(middles) == 1 and all(classify._is_serial(c) for c in cycles), q.to_text()
+            continue
+        labels[label.value] += 1
+        d = label.detail
+        x, y = d["x"], d["y"]
+        arrows = [d[k].supported_arrows() for k in ("c_l", "c_r", "bar")]
+        verts = [set(d[k].walk_vertices()) for k in ("c_l", "c_r", "bar")]
+        assert set().union(*arrows) == {a.name for a in q.arrows}, q.to_text()
+        assert sum(map(len, arrows)) == len(q.arrows), q.to_text()
+        assert set().union(*verts) == set(q.vertices), q.to_text()
+        assert verts[0] & verts[1] == ({x} if x == y else set()), q.to_text()
+        assert verts[2] & verts[0] == {x} and verts[2] & verts[1] == {y}, q.to_text()
+        # the other relation order traces the same pieces, the bar from y
+        swapped = classify_node_free(BoundQuiver(q.name, q.vertices, q.arrows, q.relations[::-1]))
+        assert swapped.value == label.value
+        e = swapped.detail
+        assert (e["x"], e["y"]) == (y, x)
+        assert (e["c_l"].render(), e["c_r"].render()) == (d["c_r"].render(), d["c_l"].render())
+        assert e["bar"].render() == d["bar"].inverse().render()
+    assert (algebras, uniserial) == (270, 9)
+    assert labels == {BARBELL: 24, GENERALIZED_BARBELL: 6}
 
 
 def test_classify_wind_wheel(windwheel):
@@ -267,7 +327,6 @@ def test_tau_finite_witness_is_the_brick_walk(name, exhausted_at, bricks, corpus
     assert v.witness == {
         "kind": "brick-walk",
         "algebra": q.name,
-        "max_len": 2 * len(q.arrows) + 2,
         "exhausted_at": exhausted_at,
         "bricks": bricks,
     }
